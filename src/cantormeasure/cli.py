@@ -15,17 +15,16 @@ Grammar (one statement per line, `#` starts a comment):
     query lusin stages N
     query product-check A B depth D
 
-Built-in names: FULL, E, Q, PJ, U, BST.  Reports are byte-deterministic
-for a given script, independent of worker count.
+K is at least 1; D, M and N are at least 0.  Built-in names: FULL, E,
+Q, PJ, U, BST.  Reports are byte-deterministic for a given script.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import constructions, measure, splits, trees
 from .errors import (
@@ -71,58 +70,160 @@ def builtin_env() -> Dict[str, TreePresentation]:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Query kinds
 
 
-def _parse_query(tokens: List[str], line: int) -> Query:
-    def want(n: int) -> None:
-        if len(tokens) != n:
-            raise ParseError(f"malformed query: {' '.join(tokens)!r}", line)
+def _fmt(q) -> str:
+    return measure.format_rational(q)
 
-    kind = tokens[0]
-    if kind == "classify":
-        want(4)
-        if tokens[2] != "depth":
-            raise ParseError("expected 'depth'", line)
-        return Query("classify", (tokens[1], int(tokens[3])), line)
-    if kind == "measure":
-        want(4)
-        if tokens[2] != "cylinder":
-            raise ParseError("expected 'cylinder'", line)
-        return Query("measure", (tokens[1], BinWord.from_str(tokens[3])), line)
-    if kind == "trace":
-        if len(tokens) == 4 and tokens[2] == "in":
-            return Query("trace", (tokens[1], tokens[3], None), line)
-        if len(tokens) == 6 and tokens[2] == "in" and tokens[4] == "depth":
-            return Query("trace", (tokens[1], tokens[3], int(tokens[5])), line)
-        raise ParseError(f"malformed trace query: {' '.join(tokens)!r}", line)
-    if kind == "trace-exact":
-        want(4)
-        if tokens[2] != "in":
-            raise ParseError("expected 'in'", line)
-        return Query("trace-exact", (tokens[1], tokens[3]), line)
-    if kind == "lemma1":
-        want(8)
-        if tokens[2] != "in" or tokens[4] != "k" or tokens[6] != "rounds":
-            raise ParseError(f"malformed lemma1 query: {' '.join(tokens)!r}", line)
-        return Query("lemma1", (tokens[1], tokens[3], int(tokens[5]), int(tokens[7])), line)
-    if kind in ("table1", "table2"):
-        want(1)
-        return Query(kind, (), line)
-    if kind == "phi":
-        want(2)
-        return Query("phi", (BinWord.from_str(tokens[1]),), line)
-    if kind == "lusin":
-        want(3)
-        if tokens[1] != "stages":
-            raise ParseError("expected 'stages'", line)
-        return Query("lusin", (int(tokens[2]),), line)
-    if kind == "product-check":
-        want(5)
-        if tokens[3] != "depth":
-            raise ParseError("expected 'depth'", line)
-        return Query("product-check", (tokens[1], tokens[2], int(tokens[4])), line)
-    raise ParseError(f"unknown query kind {kind!r}", line)
+
+# Runners take the depth clamp and the query's slot values, tree names
+# resolved, and return (report lines, optional certificate text).  They
+# call through the module attributes (`measure.trace_exact(...)`) so that
+# a wrapper installed on a module sees every call.
+
+
+def _classify(clamp, tree, depth):
+    c = splits.classify(tree, depth=clamp(depth))
+    flags = " ".join(
+        f"{name}={'yes' if val else 'no'}"
+        for name, val in (
+            ("balanced", c.balanced),
+            ("uniform", c.uniform),
+            ("silver", c.silver),
+        )
+    )
+    tail = "exact" if c.exact_to is None else f"up-to-depth({c.exact_to})"
+    return [f"= {flags} {tail}"], None
+
+
+def _measure(clamp, tree, word):
+    return [f"= {_fmt(measure.mu_cylinder(tree, word))}"], None
+
+
+def _trace(clamp, x, p, depth):
+    if depth is None:
+        depth = measure.default_trace_depth(p, x)
+    result = measure.trace_upper(p, x, clamp(depth))
+    return [
+        f"= {_fmt(result.upper_bounds[-1])} at depth {len(result.upper_bounds) - 1}",
+        "  bounds " + " ".join(_fmt(b) for b in result.upper_bounds),
+    ], None
+
+
+def _trace_exact(clamp, x, p):
+    return [f"= {_fmt(measure.trace_exact(p, x).exact)}"], None
+
+
+def _lemma1(clamp, x, p, k, rounds):
+    c = measure.lemma1_refine(p, x, k, rounds)
+    size = sum(cnt for _, cnt in c.cover_levels)
+    return [f"= bound {_fmt(c.bound)} cover {size} rounds {c.rounds}"], c.serialize()
+
+
+def _table1(clamp):
+    lines = ["= s w mu fiber"]
+    for row in constructions.table1():
+        lines.append(
+            f"  {row.block} {row.projected} {_fmt(row.cylinder_measure)} "
+            f"{_fmt(row.fiber_measure)}"
+        )
+    return lines, None
+
+
+def _table2(clamp):
+    return ["= s w"] + [f"  {s} {w}" for s, w in constructions.table2()], None
+
+
+def _phi(clamp, word):
+    return [f"= {constructions.phi(word)}"], None
+
+
+def _lusin(clamp, stages):
+    lt = constructions.lusin_tree(stages)
+    lines = [
+        f"  stage {n}: size {len(lt.stages[n])} removed {_fmt(removed)}"
+        for n, removed in enumerate(lt.removed_mass)
+    ]
+    lines.append(f"= total removed {_fmt(sum(lt.removed_mass))}")
+    return lines, None
+
+
+def _product_check(clamp, p, r, depth):
+    checked = 0
+    for w in trees.node_words(trees.product(p, r), clamp(depth)):
+        if len(w) % 2 == 0:
+            measure.product_measure(p, r, w)
+            checked += 1
+    return [f"= ok {checked} nodes checked"], None
+
+
+@dataclass(frozen=True)
+class _QueryKind:
+    """The tokens that follow a query kind, and the runner that answers it.
+
+    In a template `{tree}` is a tree name, `{word}` a binary word, `{k}` an
+    integer >= 1 and every other `{slot}` an integer >= 0.  The optional
+    tail's slots are None when a query leaves the tail out.  Templates
+    serve both parsing and rendering.
+    """
+
+    template: str
+    optional: str
+    runner: Callable[..., Tuple[List[str], Optional[str]]]
+
+    def slots(self) -> List[str]:
+        return [t[1:-1] for t in (self.template + " " + self.optional).split() if t[0] == "{"]
+
+
+_QUERIES: Dict[str, _QueryKind] = {
+    "classify": _QueryKind("{tree} depth {depth}", "", _classify),
+    "measure": _QueryKind("{tree} cylinder {word}", "", _measure),
+    "trace": _QueryKind("{tree} in {tree}", "depth {depth}", _trace),
+    "trace-exact": _QueryKind("{tree} in {tree}", "", _trace_exact),
+    "lemma1": _QueryKind("{tree} in {tree} k {k} rounds {rounds}", "", _lemma1),
+    "table1": _QueryKind("", "", _table1),
+    "table2": _QueryKind("", "", _table2),
+    "phi": _QueryKind("{word}", "", _phi),
+    "lusin": _QueryKind("stages {stages}", "", _lusin),
+    "product-check": _QueryKind("{tree} {tree} depth {depth}", "", _product_check),
+}
+
+
+def _slot_value(slot: str, token: str, env: Dict[str, TreePresentation], line: int):
+    if slot == "tree":
+        if token not in env:
+            raise ParseError(f"unknown name {token!r}", line)
+        return token
+    if slot == "word":
+        return BinWord.from_str(token)
+    value = int(token)
+    least = 1 if slot == "k" else 0
+    if value < least:
+        raise ParseError(f"{slot} must be at least {least}, got {value}", line)
+    return value
+
+
+def _parse_query(tokens: List[str], line: int, env: Dict[str, TreePresentation]) -> Query:
+    kind, given = tokens[0], tokens[1:]
+    spec = _QUERIES.get(kind)
+    if spec is None:
+        raise ParseError(f"unknown query kind {kind!r}", line)
+    required, optional = spec.template.split(), spec.optional.split()
+    if len(given) == len(required) + len(optional):
+        pattern = required + optional
+    elif len(given) == len(required):
+        pattern = required
+    else:
+        raise ParseError(f"malformed {kind} query: {' '.join(tokens)!r}", line)
+    args = []
+    for want, token in zip(pattern, given):
+        if want[0] == "{":
+            args.append(_slot_value(want[1:-1], token, env, line))
+        elif token != want:
+            raise ParseError(f"expected {want!r}, got {token!r}", line)
+    args.extend([None] * (len(spec.slots()) - len(args)))
+    return Query(kind, tuple(args), line)
 
 
 def parse(text: str) -> Script:
@@ -145,52 +246,23 @@ def parse(text: str) -> Script:
             env[name] = tree
             declarations.append((name, tree))
         elif line.startswith("query "):
-            tokens = line[6:].split()
             try:
-                query = _parse_query(tokens, lineno)
+                queries.append(_parse_query(line[6:].split(), lineno, env))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
-            for name in _query_names(query):
-                if name not in env:
-                    raise ParseError(f"unknown name {name!r}", lineno)
-            queries.append(query)
         else:
             raise ParseError(f"expected 'tree' or 'query': {raw!r}", lineno)
     return Script(tuple(declarations), tuple(queries))
 
 
-def _query_names(q: Query) -> Tuple[str, ...]:
-    if q.kind in ("classify", "measure"):
-        return (q.args[0],)
-    if q.kind in ("trace", "trace-exact", "lemma1"):
-        return (q.args[0], q.args[1])
-    if q.kind == "product-check":
-        return (q.args[0], q.args[1])
-    return ()
-
-
 def render_query(q: Query) -> str:
-    a = q.args
-    if q.kind == "classify":
-        return f"query classify {a[0]} depth {a[1]}"
-    if q.kind == "measure":
-        return f"query measure {a[0]} cylinder {a[1]}"
-    if q.kind == "trace":
-        tail = "" if a[2] is None else f" depth {a[2]}"
-        return f"query trace {a[0]} in {a[1]}{tail}"
-    if q.kind == "trace-exact":
-        return f"query trace-exact {a[0]} in {a[1]}"
-    if q.kind == "lemma1":
-        return f"query lemma1 {a[0]} in {a[1]} k {a[2]} rounds {a[3]}"
-    if q.kind in ("table1", "table2"):
-        return f"query {q.kind}"
-    if q.kind == "phi":
-        return f"query phi {a[0]}"
-    if q.kind == "lusin":
-        return f"query lusin stages {a[0]}"
-    if q.kind == "product-check":
-        return f"query product-check {a[0]} {a[1]} depth {a[2]}"
-    raise ValueError(f"unknown query kind {q.kind!r}")
+    spec = _QUERIES[q.kind]
+    pattern = spec.template.split()
+    tail = q.args[sum(t[0] == "{" for t in pattern):]
+    if any(a is not None for a in tail):
+        pattern += spec.optional.split()
+    values = iter(q.args)
+    return " ".join(["query", q.kind] + [str(next(values)) if t[0] == "{" else t for t in pattern])
 
 
 def render_script(script: Script) -> str:
@@ -215,10 +287,6 @@ _ERROR_KINDS = (
 )
 
 
-def _fmt(q) -> str:
-    return measure.format_rational(q)
-
-
 def _run_query(
     q: Query, env: Dict[str, TreePresentation], max_depth: Optional[int]
 ) -> Tuple[bool, List[str], Optional[str]]:
@@ -227,73 +295,10 @@ def _run_query(
     def clamp(d: int) -> int:
         return d if max_depth is None else min(d, max_depth)
 
-    lines: List[str] = []
-    cert: Optional[str] = None
+    spec = _QUERIES[q.kind]
+    values = [env[a] if slot == "tree" else a for slot, a in zip(spec.slots(), q.args)]
     try:
-        if q.kind == "classify":
-            c = splits.classify(env[q.args[0]], depth=clamp(q.args[1]))
-            flags = " ".join(
-                f"{name}={'yes' if val else 'no'}"
-                for name, val in (
-                    ("balanced", c.balanced),
-                    ("uniform", c.uniform),
-                    ("silver", c.silver),
-                )
-            )
-            tail = "exact" if c.exact_to is None else f"up-to-depth({c.exact_to})"
-            lines.append(f"= {flags} {tail}")
-        elif q.kind == "measure":
-            lines.append(f"= {_fmt(measure.mu_cylinder(env[q.args[0]], q.args[1]))}")
-        elif q.kind == "trace":
-            x, p = env[q.args[0]], env[q.args[1]]
-            depth = q.args[2]
-            if depth is None:
-                depth = measure.default_trace_depth(p, x)
-            result = measure.trace_upper(p, x, clamp(depth))
-            lines.append(f"= {_fmt(result.upper_bounds[-1])} at depth {len(result.upper_bounds) - 1}")
-            lines.append("  bounds " + " ".join(_fmt(b) for b in result.upper_bounds))
-        elif q.kind == "trace-exact":
-            x, p = env[q.args[0]], env[q.args[1]]
-            result = measure.trace_exact(p, x)
-            lines.append(f"= {_fmt(result.exact)}")
-        elif q.kind == "lemma1":
-            x, p = env[q.args[0]], env[q.args[1]]
-            c = measure.lemma1_refine(p, x, q.args[2], q.args[3])
-            size = sum(cnt for _, cnt in c.cover_levels)
-            lines.append(f"= bound {_fmt(c.bound)} cover {size} rounds {c.rounds}")
-            cert = c.serialize()
-        elif q.kind == "table1":
-            lines.append("= s w mu fiber")
-            for row in constructions.table1():
-                lines.append(
-                    f"  {row.block} {row.projected} {_fmt(row.cylinder_measure)} "
-                    f"{_fmt(row.fiber_measure)}"
-                )
-        elif q.kind == "table2":
-            lines.append("= s w")
-            for s, w in constructions.table2():
-                lines.append(f"  {s} {w}")
-        elif q.kind == "phi":
-            lines.append(f"= {constructions.phi(q.args[0])}")
-        elif q.kind == "lusin":
-            lt = constructions.lusin_tree(q.args[0])
-            total = sum(lt.removed_mass)
-            for n, removed in enumerate(lt.removed_mass):
-                lines.append(
-                    f"  stage {n}: size {len(lt.stages[n])} removed {_fmt(removed)}"
-                )
-            lines.append(f"= total removed {_fmt(total)}")
-        elif q.kind == "product-check":
-            p, r = env[q.args[0]], env[q.args[1]]
-            prod = trees.product(p, r)
-            checked = 0
-            for w in trees.node_words(prod, clamp(q.args[2])):
-                if len(w) % 2 == 0:
-                    measure.product_measure(p, r, w)
-                    checked += 1
-            lines.append(f"= ok {checked} nodes checked")
-        else:
-            raise ValueError(f"unknown query kind {q.kind!r}")
+        lines, cert = spec.runner(clamp, *values)
         return True, lines, cert
     except CantorMeasureError as exc:
         for cls, kind in _ERROR_KINDS:
@@ -302,28 +307,15 @@ def _run_query(
         return False, [f"! error(other): {exc}"], None
 
 
-def run(
-    script: Script,
-    max_depth: Optional[int] = None,
-    workers: int = 1,
-) -> Report:
+def run(script: Script, max_depth: Optional[int] = None) -> Report:
     """Execute all queries; one query's failure never aborts the rest."""
     env = builtin_env()
     env.update(dict(script.declarations))
-
-    def job(q: Query):
-        return _run_query(q, env, max_depth)
-
-    if workers > 1 and len(script.queries) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, script.queries))
-    else:
-        results = [job(q) for q in script.queries]
-
     blocks: List[str] = []
     certificates: List[str] = []
     all_ok = True
-    for q, (ok, lines, cert) in zip(script.queries, results):
+    for q in script.queries:
+        ok, lines, cert = _run_query(q, env, max_depth)
         blocks.append("\n".join([render_query(q)] + lines))
         if cert is not None:
             certificates.append(cert)
@@ -344,7 +336,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("script", help="script file, or - for stdin")
     parser.add_argument("--certs", metavar="PATH", help="write certificates to PATH")
     parser.add_argument("--max-depth", type=int, default=None, help="global depth cap")
-    parser.add_argument("--workers", type=int, default=1, help="query evaluation threads")
     args = parser.parse_args(argv)
 
     if args.script == "-":
@@ -366,7 +357,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"invalid presentation: {exc}", file=sys.stderr)
         return 2
 
-    report = run(script, max_depth=args.max_depth, workers=args.workers)
+    report = run(script, max_depth=args.max_depth)
     sys.stdout.write(report.text)
     if args.certs and report.certificates:
         with open(args.certs, "w", encoding="utf-8") as fh:

@@ -10,7 +10,7 @@ product automaton.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -31,6 +31,7 @@ from .trees import (
     TreePresentation,
     to_dsl,
     product as tree_product,
+    walk,
 )
 from .words import EMPTY, BinWord, NatWord, all_words, deinterleave
 
@@ -38,6 +39,7 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 
 def format_rational(q: Fraction) -> str:
@@ -56,16 +58,8 @@ def mu_cylinder(P: TreePresentation, w: BinWord) -> Fraction:
     """Canonical measure of the cylinder of w: 1/2^level, or 0 when the
     cylinder misses the tree entirely."""
     nav = P.navigator()
-    state = nav.initial
-    lvl = 0
-    for b in w.bits:
-        bs = nav.bits(state)
-        if b not in bs:
-            return ZERO
-        if len(bs) == 2:
-            lvl += 1
-        state = nav.step(state, b)
-    return Fraction(1, 2**lvl)
+    end = walk(nav, w.bits, nav.initial)
+    return ZERO if end is None else Fraction(1, 2 ** end[1])
 
 
 def mu_clopen(P: TreePresentation, ws) -> Fraction:
@@ -104,21 +98,32 @@ class TraceResult:
             raise IntegrityError("exact trace value exceeds an upper bound")
 
 
+ProductState = Tuple[object, object]
+
+
+def _product_step(
+    pnav: Navigator, xnav: Navigator, ps, xs
+) -> Tuple[Fraction, Tuple[ProductState, ...], bool]:
+    """One step of the (P-state, X-state) product automaton: the weight of
+    each child (1/2 at a P-split, else 1), the children that stay inside
+    X, and whether some P-child leaves X."""
+    bs = pnav.bits(ps)
+    kids = tuple((pnav.step(ps, b), xnav.step(xs, b)) for b in bs if b in xnav.bits(xs))
+    return (HALF if len(bs) == 2 else ONE), kids, len(kids) < len(bs)
+
+
 def _hull_masses(P: TreePresentation, X: TreePresentation, depth: int) -> List[Fraction]:
     """Mass of the depth-d clopen hull of X within P for d = 0..depth."""
     pnav, xnav = P.navigator(), X.navigator()
-    dist: Dict[Tuple[object, object], Fraction] = {(pnav.initial, xnav.initial): ONE}
+    dist: Dict[ProductState, Fraction] = {(pnav.initial, xnav.initial): ONE}
     out = [ONE]
     for _ in range(depth):
-        nxt: Dict[Tuple[object, object], Fraction] = {}
+        nxt: Dict[ProductState, Fraction] = {}
         for (ps, xs), mass in dist.items():
-            bs = pnav.bits(ps)
-            w = Fraction(1, 2) if len(bs) == 2 else ONE
-            for b in bs:
-                if b not in xnav.bits(xs):
-                    continue
-                key = (pnav.step(ps, b), xnav.step(xs, b))
-                nxt[key] = nxt.get(key, ZERO) + mass * w
+            w, kids, _ = _product_step(pnav, xnav, ps, xs)
+            share = mass * w
+            for key in kids:
+                nxt[key] = nxt[key] + share if key in nxt else share
         dist = nxt
         out.append(sum(dist.values(), ZERO))
     return out
@@ -165,14 +170,10 @@ def trace_exact(P: TreePresentation, X: TreePresentation) -> TraceResult:
     start = (pnav.initial, xnav.initial)
     states = [start]
     seen = {start}
-    i = 0
-    while i < len(states):
-        ps, xs = states[i]
-        i += 1
-        for b in pnav.bits(ps):
-            if b not in xnav.bits(xs):
-                continue
-            t = (pnav.step(ps, b), xnav.step(xs, b))
+    step: Dict[ProductState, Tuple[Fraction, Tuple[ProductState, ...], bool]] = {}
+    for st in states:  # breadth-first; the list grows while it is read
+        step[st] = _product_step(pnav, xnav, *st)
+        for t in step[st][1]:
             if t not in seen:
                 seen.add(t)
                 states.append(t)
@@ -183,13 +184,10 @@ def trace_exact(P: TreePresentation, X: TreePresentation) -> TraceResult:
     while changed:
         changed = False
         for st in list(full):
-            ps, xs = st
-            for b in pnav.bits(ps):
-                if b not in xnav.bits(xs) or (
-                    pnav.step(ps, b), xnav.step(xs, b)) not in full:
-                    full.discard(st)
-                    changed = True
-                    break
+            _, kids, leaks = step[st]
+            if leaks or any(t not in full for t in kids):
+                full.discard(st)
+                changed = True
 
     variables = [st for st in states if st not in full]
     index = {st: j for j, st in enumerate(variables)}
@@ -200,13 +198,8 @@ def trace_exact(P: TreePresentation, X: TreePresentation) -> TraceResult:
     for st in variables:
         j = index[st]
         matrix[j][j] = ONE
-        ps, xs = st
-        bs = pnav.bits(ps)
-        w = Fraction(1, 2) if len(bs) == 2 else ONE
-        for b in bs:
-            if b not in xnav.bits(xs):
-                continue
-            child = (pnav.step(ps, b), xnav.step(xs, b))
+        w, kids, _ = step[st]
+        for child in kids:
             if child in full:
                 rhs[j] += w
             else:
@@ -301,30 +294,6 @@ class BoundCertificate:
         return "\n".join(lines) + "\n"
 
 
-def _walk_states(nav: Navigator, state, bits) -> Optional[Tuple[object, int]]:
-    """Walk bits from state; returns (end state, splits passed) or None."""
-    gained = 0
-    for b in bits:
-        bs = nav.bits(state)
-        if b not in bs:
-            return None
-        if len(bs) == 2:
-            gained += 1
-        state = nav.step(state, b)
-    return state, gained
-
-
-def _walk_optional(nav: Navigator, state, bits):
-    """Walk bits through the traced tree; None state stays dead."""
-    if state is None:
-        return None
-    for b in bits:
-        if b not in nav.bits(state):
-            return None
-        state = nav.step(state, b)
-    return state
-
-
 def lemma1_refine(
     P: TreePresentation,
     X: TreePresentation,
@@ -350,14 +319,14 @@ def lemma1_refine(
     pnav, xnav = P.navigator(), X.navigator()
     windows = [w.bits for w in all_words(k)]
 
-    pattern_cache: Dict[Tuple[object, object], List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = {}
+    def x_walk(x, bits):
+        """The traced tree's state after bits; None once the word has left it."""
+        end = None if x is None else walk(xnav, bits, x)
+        return None if end is None else end[0]
 
-    def refine_pattern(ps, xs):
+    def refine_pattern(ps, xs) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         """Finalized (relative word, escape window) pairs partitioning the
         subtree at a node with these states."""
-        key = (ps, xs)
-        if key in pattern_cache:
-            return pattern_cache[key]
         out: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
         frontier: List[Tuple[Tuple[int, ...], object, object]] = [((), ps, xs)]
         explored = 0
@@ -369,20 +338,38 @@ def lemma1_refine(
                     raise WitnessNotFound(None)
                 window = None
                 for wb in windows:
-                    if _walk_states(pnav, p, wb) is None:
-                        continue
-                    if _walk_optional(xnav, x, wb) is None:
+                    if walk(pnav, wb, p) is not None and (x is None or walk(xnav, wb, x) is None):
                         window = wb
                         break
                 if window is not None:
                     out.append((rel, window))
                 else:
                     for b in pnav.bits(p):
-                        nxt.append((rel + (b,), pnav.step(p, b), _walk_optional(xnav, x, (b,))))
+                        x_child = None if x is None or b not in xnav.bits(x) else xnav.step(x, b)
+                        nxt.append((rel + (b,), pnav.step(p, b), x_child))
             frontier = nxt
         out.sort()
-        pattern_cache[key] = out
         return out
+
+    Child = Tuple[Tuple[int, ...], object, object, int]
+    children_of: Dict[Tuple[object, object], List[Child]] = {}
+
+    def class_children(ps, xs) -> List[Child]:
+        """(suffix bits, end P-state, end X-state, levels gained) of every
+        cylinder that replaces a cover node with these states."""
+        key = (ps, xs)
+        if key not in children_of:
+            out: List[Child] = []
+            for rel, window in refine_pattern(ps, xs):
+                mid_p, mid_gain = walk(pnav, rel, ps)
+                mid_x = x_walk(xs, rel)
+                for wb in windows:
+                    walked = None if wb == window else walk(pnav, wb, mid_p)
+                    if walked is not None:
+                        end_p, wgain = walked
+                        out.append((rel + wb, end_p, x_walk(mid_x, wb), mid_gain + wgain))
+            children_of[key] = out
+        return children_of[key]
 
     # cover classes: (p state, x state or None, level) -> [count, representative]
     p0, x0 = pnav.initial, xnav.initial
@@ -397,54 +384,33 @@ def lemma1_refine(
 
     for r in range(rounds):
         new_cover: Dict[Tuple[object, object, int], List] = {}
-        new_explicit: Optional[List[Tuple[BinWord, object, object, int]]] = (
-            [] if explicit is not None else None
-        )
+        new_explicit: Optional[List[Tuple[BinWord, object, object, int]]] = None
+        if explicit is not None:
+            new_explicit = []
+            members: Dict[Tuple[object, object, int], List[BinWord]] = defaultdict(list)
+            for word, ps, xs, lvl in explicit:
+                members[(ps, xs, lvl)].append(word)
         for (ps, xs, lvl), (cnt, rep) in sorted(
             cover.items(), key=lambda item: str(item[1][1])
         ):
             try:
-                pattern = refine_pattern(ps, xs)
+                kids = class_children(ps, xs)
             except WitnessNotFound:
                 raise WitnessNotFound(rep) from None
-            for rel, window in pattern:
-                mid_p, mid_gain = _walk_states(pnav, ps, rel)
-                mid_x = _walk_optional(xnav, xs, rel)
-                for wb in windows:
-                    if wb == window:
-                        continue
-                    walked = _walk_states(pnav, mid_p, wb)
-                    if walked is None:
-                        continue
-                    end_p, wgain = walked
-                    end_x = _walk_optional(xnav, mid_x, wb)
-                    new_lvl = lvl + mid_gain + wgain
-                    key = (end_p, end_x, new_lvl)
-                    rep_word = BinWord(rep.bits + rel + wb)
-                    entry = new_cover.get(key)
-                    if entry is None:
-                        new_cover[key] = [cnt, rep_word]
-                    else:
-                        entry[0] += cnt
-                        if rep_word < entry[1]:
-                            entry[1] = rep_word
+            for suffix, end_p, end_x, gain in kids:
+                key = (end_p, end_x, lvl + gain)
+                rep_word = BinWord(rep.bits + suffix)
+                entry = new_cover.get(key)
+                if entry is None:
+                    new_cover[key] = [cnt, rep_word]
+                else:
+                    entry[0] += cnt
+                    if rep_word < entry[1]:
+                        entry[1] = rep_word
             if new_explicit is not None:
-                members = [e for e in explicit if (e[1], e[2], e[3]) == (ps, xs, lvl)]
-                for word, _, _, wlvl in members:
-                    for rel, window in pattern:
-                        mid_p, mid_gain = _walk_states(pnav, ps, rel)
-                        mid_x = _walk_optional(xnav, xs, rel)
-                        for wb in windows:
-                            if wb == window:
-                                continue
-                            walked = _walk_states(pnav, mid_p, wb)
-                            if walked is None:
-                                continue
-                            end_p, wgain = walked
-                            end_x = _walk_optional(xnav, mid_x, wb)
-                            new_explicit.append(
-                                (BinWord(word.bits + rel + wb), end_p, end_x, wlvl + mid_gain + wgain)
-                            )
+                for word in members[(ps, xs, lvl)]:
+                    for suffix, end_p, end_x, gain in kids:
+                        new_explicit.append((BinWord(word.bits + suffix), end_p, end_x, lvl + gain))
                 if len(new_explicit) > node_cap:
                     new_explicit = None
         cover = new_cover

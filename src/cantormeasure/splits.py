@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .errors import HorizonExceeded, NotANode, PresentationError
-from .trees import Navigator, TreePresentation, TrieNavigator
+from .errors import NotANode, PresentationError
+from .trees import Navigator, TreePresentation, TrieNavigator, walk
 from .words import EMPTY, BinWord
 
 _FORCED_WALK_CAP = 100_000
@@ -35,15 +35,10 @@ class Classification:
 def level(P: TreePresentation, w: BinWord) -> int:
     """The number of branching points strictly below w."""
     nav = P.navigator()
-    state = nav.initial
-    count = 0
-    for b in w.bits:
-        if b not in nav.bits(state):
-            raise NotANode(f"{w} is not a node")
-        if len(nav.bits(state)) == 2:
-            count += 1
-        state = nav.step(state, b)
-    return count
+    end = walk(nav, w.bits, nav.initial)
+    if end is None:
+        raise NotANode(f"{w} is not a node")
+    return end[1]
 
 
 def split_profile(P: TreePresentation, levels: int) -> SplitProfile:
@@ -110,9 +105,10 @@ def _state_set_sequence(nav: Navigator):
     return sets, seen[cur]
 
 
-def _forced_walk(nav: Navigator, state, extra: int = 0) -> Tuple[object, int]:
-    """Advance through single-child states until a split; returns (state, gap)."""
-    gap = 0
+def _forced_walk(nav: Navigator, state) -> Tuple[object, List[int]]:
+    """Advance through single-child states until a split; returns (state,
+    the forced bits passed)."""
+    gap: List[int] = []
     while True:
         bs = nav.bits(state)
         if len(bs) == 2:
@@ -120,8 +116,8 @@ def _forced_walk(nav: Navigator, state, extra: int = 0) -> Tuple[object, int]:
         if not bs:
             raise PresentationError("tree is not pruned at a forced node")
         state = nav.step(state, bs[0])
-        gap += 1
-        if gap > _FORCED_WALK_CAP + extra:
+        gap.append(bs[0])
+        if len(gap) > _FORCED_WALK_CAP:
             raise PresentationError("no branching point below a node; tree not perfect")
 
 
@@ -142,7 +138,7 @@ def _classify_finite(nav: Navigator, budget: int) -> Classification:
     # (state, length offset) pairs, normalized to min offset 0
     start, gap0 = _forced_walk(nav, nav.initial)
     front: FrozenSet[Tuple[object, int]] = frozenset([(start, 0)])
-    base = gap0  # absolute length of offset 0
+    base = len(gap0)  # absolute length of offset 0
     seen_fronts: Set[FrozenSet] = {front}
     balanced: Optional[bool] = True
     prev_max = base
@@ -152,7 +148,7 @@ def _classify_finite(nav: Navigator, budget: int) -> Classification:
             for b in nav.bits(state):
                 child = nav.step(state, b)
                 q, gap = _forced_walk(nav, child)
-                nxt.add((q, off + 1 + gap))
+                nxt.add((q, off + 1 + len(gap)))
         mn = min(off for _, off in nxt)
         mx = max(off for _, off in nxt)
         if base + mn <= prev_max:  # s_{i+1} <= S_i
@@ -211,10 +207,7 @@ def classify(P: TreePresentation, depth: int = 64) -> Classification:
     nav = P.navigator()
     if nav.finite:
         return _classify_finite(nav, budget=max(depth, 64))
-    try:
-        return _classify_enumerated(nav, depth)
-    except HorizonExceeded:
-        raise
+    return _classify_enumerated(nav, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -230,28 +223,9 @@ def canon_embed(P: TreePresentation, w: BinWord) -> BinWord:
     prefix-structure preserving.
     """
     nav = P.navigator()
-    state = nav.initial
-    out: List[int] = []
-
-    def advance(st):
-        gap_bits: List[int] = []
-        guard = 0
-        while len(nav.bits(st)) != 2:
-            bs = nav.bits(st)
-            if not bs:
-                raise PresentationError("tree is not pruned at a forced node")
-            gap_bits.append(bs[0])
-            st = nav.step(st, bs[0])
-            guard += 1
-            if guard > _FORCED_WALK_CAP:
-                raise PresentationError("no branching point below a node; tree not perfect")
-        return st, gap_bits
-
-    state, lead = advance(state)
-    out.extend(lead)
+    state, out = _forced_walk(nav, nav.initial)
     for b in w.bits:
-        state = nav.step(state, b)
+        state, lead = _forced_walk(nav, nav.step(state, b))
         out.append(b)
-        state, lead = advance(state)
         out.extend(lead)
     return BinWord(tuple(out))

@@ -11,7 +11,6 @@ carry a hard horizon and fail loudly past it.
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -36,20 +35,19 @@ class Navigator:
     def step(self, state, bit: int):
         raise NotImplementedError
 
-    def reachable(self) -> List[object]:
-        """All reachable states, in BFS order (finite navigators only)."""
-        seen = {self.initial}
-        order = [self.initial]
-        queue = deque([self.initial])
-        while queue:
-            s = queue.popleft()
-            for b in self.bits(s):
-                t = self.step(s, b)
-                if t is not None and t not in seen:
-                    seen.add(t)
-                    order.append(t)
-                    queue.append(t)
-        return order
+
+def walk(nav: Navigator, bits: Sequence[int], state) -> Optional[Tuple[object, int]]:
+    """Walk bits down from state; returns (end state, branching points
+    passed), or None when the word leaves the tree."""
+    splits = 0
+    for b in bits:
+        bs = nav.bits(state)
+        if b not in bs:
+            return None
+        if len(bs) == 2:
+            splits += 1
+        state = nav.step(state, b)
+    return state, splits
 
 
 class TableNavigator(Navigator):
@@ -267,7 +265,6 @@ class StaircaseNavigator(Navigator):
 
     def __init__(self) -> None:
         self.initial = ()
-        self._lock = threading.Lock()
         # per depth: {node: (last_split_depth, chosen)}
         self._levels: List[Dict[Tuple[int, ...], Tuple[int, bool]]] = [{(): (-1, True)}]
 
@@ -285,10 +282,8 @@ class StaircaseNavigator(Navigator):
         self._levels.append({n: (ls, n == pick) for n, ls in nxt.items()})
 
     def _level(self, d: int) -> Dict[Tuple[int, ...], Tuple[int, bool]]:
-        if len(self._levels) <= d:
-            with self._lock:
-                while len(self._levels) <= d:
-                    self._extend()
+        while len(self._levels) <= d:
+            self._extend()
         return self._levels[d]
 
     def bits(self, state) -> Tuple[int, ...]:
@@ -331,27 +326,17 @@ class Subtree(TreePresentation):
     root: BinWord
 
     def __post_init__(self) -> None:
-        state = walk_navigator(self.base.navigator(), self.root)
-        if state is None:
+        nav = self.base.navigator()
+        if walk(nav, self.root.bits, nav.initial) is None:
             raise PresentationError(f"subtree root {self.root} is not a node")
 
     def _compile(self) -> Navigator:
         nav = self.base.navigator()
-        return StemNavigator(self.root.bits, nav, walk_navigator(nav, self.root))
+        return StemNavigator(self.root.bits, nav, walk(nav, self.root.bits, nav.initial)[0])
 
 
 # ---------------------------------------------------------------------------
 # Queries
-
-
-def walk_navigator(nav: Navigator, w: BinWord):
-    """The state reached by w, or None if w leaves the tree."""
-    state = nav.initial
-    for b in w.bits:
-        if b not in nav.bits(state):
-            return None
-        state = nav.step(state, b)
-    return state
 
 
 def contains(P: TreePresentation, w: BinWord) -> bool:
@@ -360,15 +345,17 @@ def contains(P: TreePresentation, w: BinWord) -> bool:
     Raises HorizonExceeded for explicit presentations queried past their
     depth rather than guessing.
     """
-    return walk_navigator(P.navigator(), w) is not None
+    nav = P.navigator()
+    return walk(nav, w.bits, nav.initial) is not None
 
 
 def children(P: TreePresentation, w: BinWord) -> Tuple[int, ...]:
     """The bits b with w⌢b a node of the tree."""
-    state = walk_navigator(P.navigator(), w)
-    if state is None:
+    nav = P.navigator()
+    end = walk(nav, w.bits, nav.initial)
+    if end is None:
         raise NotANode(f"{w} is not a node")
-    return P.navigator().bits(state)
+    return nav.bits(end[0])
 
 
 def node_words(P: TreePresentation, depth: int) -> Iterator[BinWord]:

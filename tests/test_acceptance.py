@@ -7,6 +7,7 @@ no tolerances anywhere.  Run with `pytest -s` to see the summary lines.
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +225,10 @@ def test_11_monotonicity_subadditivity():
     report(11, "subtree monotonicity and finite subadditivity on random pairs")
 
 
+# Committed report text and certificates of ACCEPTANCE_SCRIPT: a change
+# that keeps the answers must reproduce them byte for byte.
+GOLDEN = Path(__file__).parent / "golden"
+
 ACCEPTANCE_SCRIPT = """tree A = blocks(3){000 001 011 111}
 tree S = silver[1 0]repeat[-1 0 -1]
 tree P2 = product(A, S)
@@ -245,14 +250,14 @@ query classify P2 depth 24
 
 def test_12_determinism():
     script = cli.parse(ACCEPTANCE_SCRIPT)
-    first = cli.run(script, workers=1)
-    second = cli.run(cli.parse(ACCEPTANCE_SCRIPT), workers=1)
-    threaded = cli.run(script, workers=8)
+    first = cli.run(script)
+    second = cli.run(cli.parse(ACCEPTANCE_SCRIPT))
     assert first.exit_code == 0
-    assert first.text.encode() == second.text.encode() == threaded.text.encode()
-    assert first.certificates == second.certificates == threaded.certificates
+    assert first.text.encode() == second.text.encode() == (GOLDEN / "acceptance.txt").read_bytes()
+    assert first.certificates == second.certificates
+    assert "\n".join(first.certificates).encode() == (GOLDEN / "acceptance.certs").read_bytes()
     for cert in first.certificates:
         assert check_certificate(cert).ok
     rendered = cli.render_script(script)
     assert cli.parse(rendered) == script
-    report(12, "byte-identical reports across runs and 1 vs 8 workers")
+    report(12, "byte-identical reports across runs and against the golden copy")

@@ -41,9 +41,19 @@ def test_parse_rejects_bad_lines():
         parse("query measure NOPE cylinder 0")
     with pytest.raises(ParseError):
         parse("query frobnicate")
-    with pytest.raises(ParseError) as err:
-        parse("tree A = full\nquery measure A cylinder 2")
-    assert err.value.line == 2
+    for query in (
+        "query measure A cylinder 2",
+        "query lemma1 A in FULL k 0 rounds 2",
+        "query lemma1 A in FULL k 1 rounds -1",
+        "query classify A depth -3",
+        "query trace A in FULL depth -1",
+        "query product-check A FULL depth -2",
+        "query lusin stages -1",
+        "query trace A in FULL depth",
+    ):
+        with pytest.raises(ParseError) as err:
+            parse("tree A = full\n" + query)
+        assert err.value.line == 2
 
 
 def test_parse_rejects_invalid_presentations():
@@ -116,7 +126,7 @@ def test_run_witness_not_found_is_reported():
     assert "error(witness-not-found)" in report.text
 
 
-def test_run_deterministic_across_workers():
+def test_run_deterministic_across_runs():
     text = """tree A = blocks(3){000 001 011 111}
 query classify A depth 24
 query trace A in FULL depth 12
@@ -125,8 +135,7 @@ query lemma1 U in FULL k 2 rounds 3
 query table2
 """
     script = parse(text)
-    reports = [run(script, workers=w) for w in (1, 1, 4)]
-    assert reports[0] == reports[1] == reports[2]
+    assert run(script) == run(script) == run(parse(text))
 
 
 def test_max_depth_caps_queries():

@@ -192,6 +192,24 @@ def test_lemma1_explicit_cover_matches_aggregation():
         assert level(FULL, w) == lvl
 
 
+def test_lemma1_explicit_cover_agrees_with_levels_and_cap():
+    cases = [(FULL, U, 2, 4), (E, U, 1, 4), (E, BST, 3, 3), (Q, U, 2, 3),
+             (Q, BST, 2, 3), (product(E, U), product(U, E), 2, 2)]
+    for P, X, k, rounds in cases:
+        cert = lemma1_refine(P, X, k, rounds)
+        assert cert.cover is not None
+        counts = {}
+        for _, lvl in cert.cover:
+            counts[lvl] = counts.get(lvl, 0) + 1
+        assert tuple(sorted(counts.items())) == cert.cover_levels
+        # a cap crossed in the last round or an early one drops only the
+        # explicit nodes, never the level counts or the bound
+        for cap in (len(cert.cover) - 1, 1):
+            capped = lemma1_refine(P, X, k, rounds, node_cap=cap)
+            assert capped.cover is None
+            assert (capped.cover_levels, capped.bound) == (cert.cover_levels, cert.bound)
+
+
 def test_lemma1_E_staircase():
     for m in (1, 2, 3):
         cert = lemma1_refine(E, BST, 3, m)
