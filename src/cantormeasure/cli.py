@@ -309,6 +309,8 @@ def _run_query(
 
 def run(script: Script, max_depth: Optional[int] = None) -> Report:
     """Execute all queries; one query's failure never aborts the rest."""
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
     env = builtin_env()
     env.update(dict(script.declarations))
     blocks: List[str] = []
@@ -337,6 +339,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--certs", metavar="PATH", help="write certificates to PATH")
     parser.add_argument("--max-depth", type=int, default=None, help="global depth cap")
     args = parser.parse_args(argv)
+    if args.max_depth is not None and args.max_depth < 0:
+        print(f"--max-depth must be at least 0, got {args.max_depth}", file=sys.stderr)
+        return 1
 
     if args.script == "-":
         text = sys.stdin.read()

@@ -3,8 +3,13 @@
 All values are fractions in lowest terms; no floating point appears on any
 measure path.  Cylinder measures follow the halving law at branching
 points; traced measures of one closed set inside another come either as
-decreasing depth-bounded clopen hulls or as an exact linear solve on the
-product automaton.
+decreasing depth-bounded clopen hulls or as an exact solve on the product
+automaton.  The exact solve first settles every state it can without
+arithmetic: value 1 where all of P stays inside X forever (Prob1) and 0
+where no such state is reachable (Prob0).  It then solves the remaining
+states component by component in reverse topological order, by
+back-substitution, and with a dense rational solve only inside a cyclic
+component.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     IntegrityError,
@@ -99,11 +104,12 @@ class TraceResult:
 
 
 ProductState = Tuple[object, object]
+Step = Tuple[Fraction, Tuple[ProductState, ...], bool]
 
 
 def _product_step(
     pnav: Navigator, xnav: Navigator, ps, xs
-) -> Tuple[Fraction, Tuple[ProductState, ...], bool]:
+) -> Step:
     """One step of the (P-state, X-state) product automaton: the weight of
     each child (1/2 at a P-split, else 1), the children that stay inside
     X, and whether some P-child leaves X."""
@@ -156,11 +162,14 @@ def default_trace_depth(P: TreePresentation, X: TreePresentation) -> int:
 
 
 def trace_exact(P: TreePresentation, X: TreePresentation) -> TraceResult:
-    """Exact measure of X inside P by a linear solve on the product automaton.
+    """Exact measure of X inside P by a solve on the product automaton.
 
-    States from which every branch of P stays inside the tree of X retain
-    full mass (value 1, found by a greatest fixpoint); the rest satisfy a
-    contraction system solved exactly over the rationals.
+    A breadth-first search tabulates every reachable (P-state, X-state)
+    pair once.  States from which every branch of P stays inside the tree
+    of X retain full mass (Prob1, value 1); states that cannot reach them
+    have value 0 (Prob0); the rest are solved exactly over the rationals,
+    one strongly connected component at a time in reverse topological
+    order (`_solve_trace`).
     """
     pnav, xnav = P.navigator(), X.navigator()
     if not (pnav.finite and xnav.finite):
@@ -170,44 +179,131 @@ def trace_exact(P: TreePresentation, X: TreePresentation) -> TraceResult:
     start = (pnav.initial, xnav.initial)
     states = [start]
     seen = {start}
-    step: Dict[ProductState, Tuple[Fraction, Tuple[ProductState, ...], bool]] = {}
+    step: Dict[ProductState, Step] = {}
     for st in states:  # breadth-first; the list grows while it is read
         step[st] = _product_step(pnav, xnav, *st)
         for t in step[st][1]:
             if t not in seen:
                 seen.add(t)
                 states.append(t)
-
-    # greatest fixpoint: product states where all P-mass stays in X forever
-    full = set(states)
-    changed = True
-    while changed:
-        changed = False
-        for st in list(full):
-            _, kids, leaks = step[st]
-            if leaks or any(t not in full for t in kids):
-                full.discard(st)
-                changed = True
-
-    variables = [st for st in states if st not in full]
-    index = {st: j for j, st in enumerate(variables)}
-    n = len(variables)
-    # rows of (I - A) v = c
-    matrix = [[ZERO] * n for _ in range(n)]
-    rhs = [ZERO] * n
-    for st in variables:
-        j = index[st]
-        matrix[j][j] = ONE
-        w, kids, _ = step[st]
-        for child in kids:
-            if child in full:
-                rhs[j] += w
-            else:
-                matrix[j][index[child]] -= w
-    values = _solve_exact(matrix, rhs)
-    result = ONE if start in full else values[index[start]]
+    result = _solve_trace(states, step)[start]
     bounds = tuple(_hull_masses(P, X, 8))
     return TraceResult(result, bounds, "exact-solve")
+
+
+def _solve_trace(
+    states: List[ProductState], step: Dict[ProductState, Step]
+) -> Dict[ProductState, Fraction]:
+    """The value of every state of a product step table.
+
+    The value of a state is its weight times the sum of its children's
+    values: the contraction system of the trace.  It is solved by the
+    qualitative precomputation of probabilistic model checking, then an
+    exact solve in strongly connected components:
+
+    - Prob1: the states from which every branch of P stays inside X
+      forever, the greatest fixpoint `full`, have value 1.  A worklist over
+      the reverse edges removes the leaking states and then every parent
+      of a removed state.
+    - Prob0: a state that cannot reach `full` has value 0, since the
+      system has a unique solution and 0 solves its homogeneous part.  One
+      backward search from `full` finds the states that can reach it.
+    - The states that reach `full` and are not in it are solved component
+      by component in reverse topological order (Tarjan), so every child
+      outside the component already has its value.  A component of one
+      state without a self-loop is one back-substitution; a cyclic
+      component is a dense rational solve of its own rows, with the
+      values of its outside children on the right-hand side.
+    """
+    parents: Dict[ProductState, List[ProductState]] = {st: [] for st in states}
+    for st in states:
+        for t in step[st][1]:
+            parents[t].append(st)
+
+    full = set(states)
+    work = [st for st in states if step[st][2]]
+    full.difference_update(work)
+    while work:
+        for st in parents[work.pop()]:
+            if st in full:
+                full.discard(st)
+                work.append(st)
+
+    live = set(full)  # the states that can reach full
+    work = list(full)
+    while work:
+        for st in parents[work.pop()]:
+            if st not in live:
+                live.add(st)
+                work.append(st)
+
+    values = {st: ONE if st in full else ZERO for st in states}
+    unsolved = live - full
+    for comp in _components(
+        [st for st in states if st in unsolved],
+        lambda st: [t for t in step[st][1] if t in unsolved],
+    ):
+        w, kids, _ = step[comp[0]]
+        if len(comp) == 1 and comp[0] not in kids:
+            values[comp[0]] = w * sum((values[t] for t in kids), ZERO)
+            continue
+        index = {st: j for j, st in enumerate(comp)}
+        # rows of (I - A) v = c over the component
+        matrix = [[ZERO] * len(comp) for _ in comp]
+        rhs = [ZERO] * len(comp)
+        for st, j in index.items():
+            w, kids, _ = step[st]
+            matrix[j][j] = ONE
+            for t in kids:
+                if t in index:
+                    matrix[j][index[t]] -= w
+                else:
+                    rhs[j] += w * values[t]
+        for st, v in zip(comp, _solve_exact(matrix, rhs)):
+            values[st] = v
+    return values
+
+
+def _components(nodes: List, succ) -> Iterator[List]:
+    """Strongly connected components of the graph reachable from nodes,
+    each yielded after every component it has an edge into (Tarjan,
+    iteratively)."""
+    order: Dict[object, int] = {}
+    low: Dict[object, int] = {}
+    stack: List = []
+    on_stack = set()
+    for root in nodes:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        on_stack.add(root)
+        path = [(root, iter(succ(root)))]
+        while path:
+            v, it = path[-1]
+            for t in it:
+                if t not in order:
+                    order[t] = low[t] = len(order)
+                    stack.append(t)
+                    on_stack.add(t)
+                    path.append((t, iter(succ(t))))
+                    break
+                if t in on_stack:
+                    low[v] = min(low[v], order[t])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    comp = []
+                    while True:
+                        t = stack.pop()
+                        on_stack.discard(t)
+                        comp.append(t)
+                        if t == v:
+                            break
+                    yield comp
 
 
 def _solve_exact(matrix: List[List[Fraction]], rhs: List[Fraction]) -> List[Fraction]:
@@ -324,9 +420,45 @@ def lemma1_refine(
         end = None if x is None else walk(xnav, bits, x)
         return None if end is None else end[0]
 
+    Pair = Tuple[object, object]
+    window_of: Dict[Pair, Optional[Tuple[int, ...]]] = {}
+    steps_of: Dict[Pair, List[Tuple[int, object, object]]] = {}
+
+    def escape_window(p, x) -> Optional[Tuple[int, ...]]:
+        """The least window that stays in P and leaves X from these states."""
+        if (p, x) not in window_of:
+            window_of[(p, x)] = next(
+                (wb for wb in windows if walk(pnav, wb, p) is not None and x_walk(x, wb) is None),
+                None,
+            )
+        return window_of[(p, x)]
+
+    def pair_steps(p, x) -> List[Tuple[int, object, object]]:
+        """(bit, child P-state, child X-state or None) for every P-child."""
+        if (p, x) not in steps_of:
+            steps_of[(p, x)] = [(b, pnav.step(p, b), x_walk(x, (b,))) for b in pnav.bits(p)]
+        return steps_of[(p, x)]
+
+    def windowless_kids(pair: Pair) -> List[Pair]:
+        return [(p, x) for _, p, x in pair_steps(*pair) if escape_window(p, x) is None]
+
+    def windowless_cycle(ps, xs) -> bool:
+        """Whether the windowless pairs the search below (ps, xs) expands
+        contain a cycle: the search then has an infinite path and fails.
+        Only finite-state navigators are walked here; the states of an
+        infinite one need not repeat, so it is left to the capped search."""
+        if not (pnav.finite and xnav.finite) or escape_window(ps, xs) is not None:
+            return False
+        return any(
+            len(comp) > 1 or comp[0] in windowless_kids(comp[0])
+            for comp in _components([(ps, xs)], windowless_kids)
+        )
+
     def refine_pattern(ps, xs) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         """Finalized (relative word, escape window) pairs partitioning the
         subtree at a node with these states."""
+        if windowless_cycle(ps, xs):
+            raise WitnessNotFound(None)
         out: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
         frontier: List[Tuple[Tuple[int, ...], object, object]] = [((), ps, xs)]
         explored = 0
@@ -336,17 +468,12 @@ def lemma1_refine(
                 explored += 1
                 if len(rel) > max_search_depth or explored > 50_000:
                     raise WitnessNotFound(None)
-                window = None
-                for wb in windows:
-                    if walk(pnav, wb, p) is not None and (x is None or walk(xnav, wb, x) is None):
-                        window = wb
-                        break
+                window = escape_window(p, x)
                 if window is not None:
                     out.append((rel, window))
                 else:
-                    for b in pnav.bits(p):
-                        x_child = None if x is None or b not in xnav.bits(x) else xnav.step(x, b)
-                        nxt.append((rel + (b,), pnav.step(p, b), x_child))
+                    for b, p_child, x_child in pair_steps(p, x):
+                        nxt.append((rel + (b,), p_child, x_child))
             frontier = nxt
         out.sort()
         return out

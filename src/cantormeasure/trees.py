@@ -15,7 +15,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import HorizonExceeded, NotANode, ParseError, PresentationError
+from .errors import (
+    HorizonExceeded,
+    NotANode,
+    ParseError,
+    PresentationError,
+    UnsupportedPresentation,
+)
 from .words import EMPTY, BinWord
 
 
@@ -401,9 +407,14 @@ def validate(P: TreePresentation) -> ValidationReport:
         return _validate_finite(nav)
     if isinstance(nav, TrieNavigator):
         return _validate_trie(nav)
-    # the staircase is pruned and perfect by its rotating-split construction
-    assert isinstance(nav, StaircaseNavigator)
-    return ValidationReport(pruned=True, perfect=True)
+    # a stem adds one forced path above a node of its base, which keeps a
+    # pruned and perfect base pruned and perfect
+    while isinstance(nav, StemNavigator):
+        nav = nav.base
+    if isinstance(nav, StaircaseNavigator):
+        # pruned and perfect by its rotating-split construction
+        return ValidationReport(pruned=True, perfect=True)
+    raise UnsupportedPresentation(f"no exact validation for {to_dsl(P)}")
 
 
 def _shortest_words(nav: Navigator) -> Dict[object, BinWord]:

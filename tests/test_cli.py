@@ -143,6 +143,17 @@ def test_max_depth_caps_queries():
     assert "at depth 6" in report.text
 
 
+def test_negative_max_depth_is_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError):
+        run(parse("query classify BST depth 5"), max_depth=-2)
+    script = tmp_path / "s.cms"
+    script.write_text("query classify BST depth 5\n")
+    assert main([str(script), "--max-depth", "-2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--max-depth" in err
+    assert main([str(script), "--max-depth", "0"]) == 0
+
+
 def test_main_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.cms"
     good.write_text("query measure Q cylinder 0111\n")

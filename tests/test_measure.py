@@ -1,14 +1,22 @@
 """Measure engine: cylinder law, traces, refinement certificates."""
 
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cantormeasure import measure
 from cantormeasure.certcheck import check_certificate
+from cantormeasure.constructions import make_named
 from cantormeasure.errors import UnsupportedPresentation, WitnessNotFound
 from cantormeasure.measure import (
+    HALF,
+    _product_step,
+    _solve_exact,
+    _solve_trace,
     baire_measure,
     default_trace_depth,
     format_rational,
@@ -27,6 +35,8 @@ from cantormeasure.trees import (
     SilverTree,
     StaircaseTree,
     Subtree,
+    TableNavigator,
+    TreePresentation,
     children,
     frontier_words,
     node_words,
@@ -157,6 +167,125 @@ def test_trace_exact_needs_finite_states():
         trace_exact(E, BST)
 
 
+def _product_table(P, X):
+    """The reachable product states in breadth-first order, and their steps."""
+    pnav, xnav = P.navigator(), X.navigator()
+    states = [(pnav.initial, xnav.initial)]
+    seen = set(states)
+    step = {}
+    for st in states:
+        step[st] = _product_step(pnav, xnav, *st)
+        for t in step[st][1]:
+            if t not in seen:
+                seen.add(t)
+                states.append(t)
+    return states, step
+
+
+def _dense_values(states, step):
+    """Reference: the greatest fixpoint by repeated scans, then one dense
+    solve of the whole system over every state outside it."""
+    full = set(states)
+    changed = True
+    while changed:
+        changed = False
+        for st in list(full):
+            _, kids, leaks = step[st]
+            if leaks or any(t not in full for t in kids):
+                full.discard(st)
+                changed = True
+    variables = [st for st in states if st not in full]
+    index = {st: j for j, st in enumerate(variables)}
+    matrix = [[Fraction(0)] * len(variables) for _ in variables]
+    rhs = [Fraction(0)] * len(variables)
+    for st in variables:
+        j = index[st]
+        matrix[j][j] = Fraction(1)
+        w, kids, _ = step[st]
+        for child in kids:
+            if child in full:
+                rhs[j] += w
+            else:
+                matrix[j][index[child]] -= w
+    values = dict(zip(variables, _solve_exact(matrix, rhs)))
+    return {st: values.get(st, Fraction(1)) for st in states}
+
+
+def _random_tree(rng, depth=0):
+    roll = rng.random()
+    if roll < 0.35 or depth == 2:
+        k = rng.choice((1, 2, 3))
+        blocks = rng.sample(list(all_words(k)), rng.randint(1, 2**k))
+        return BlockTree(k, frozenset(blocks))
+    if roll < 0.6:
+        period = tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 3))) + (-1,)
+        return SilverTree(tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 2))), period)
+    if roll < 0.8:
+        return product(_random_tree(rng, depth + 1), _random_tree(rng, depth + 1))
+    base = _random_tree(rng, depth + 1)
+    return Subtree(base, rng.choice(list(node_words(base, 3))))
+
+
+def test_trace_exact_matches_dense_solve():
+    rng = random.Random(2016)
+    kinds = set()
+    for _ in range(150):
+        P = _random_tree(rng)
+        X = Subtree(P, rng.choice(list(node_words(P, 4)))) if rng.random() < 0.3 else _random_tree(rng)
+        states, step = _product_table(P, X)
+        if len(states) > 80:
+            continue
+        dense = _dense_values(states, step)
+        assert _solve_trace(states, step) == dense, (P, X)
+        value = trace_exact(P, X).exact
+        assert value == dense[states[0]]
+        kinds.add(value if value in (0, 1) else "between")
+    assert kinds == {0, 1, "between"}
+
+
+@dataclass(frozen=True)
+class _TableTree(TreePresentation):
+    """A tree given by its transition table, from state "a"."""
+
+    table: tuple
+
+    def _compile(self):
+        return TableNavigator("a", dict(self.table))
+
+
+def test_solve_trace_cyclic_component(monkeypatch):
+    # X = 0^ω ∪ 0^n 11 {0,1}^ω inside FULL: X-state a reads 0 to a and 1
+    # to c, c reads only 1, to f, below which X is full.  value(c) = 1/2,
+    # value(a) = (value(a) + value(c)) / 2 = 1/2.
+    a, c, f = ("p", "a"), ("p", "c"), ("p", "f")
+    step = {a: (HALF, (a, c), False), c: (HALF, (f,), True), f: (HALF, (f, f), False)}
+    rows = []
+    monkeypatch.setattr(measure, "_solve_exact", lambda m, r: rows.append(len(r)) or _solve_exact(m, r))
+    assert _solve_trace([a, c, f], step) == {a: HALF, c: HALF, f: 1}
+    assert rows == [1]  # only the cyclic component {a} goes to the dense solve
+
+    # the same X as a navigator, and a two-state cycle: b reads only 0
+    # back to a, so value(a) = (value(a)/2 + 1/2) / 2 = 1/3
+    x = {"a": {0: "a", 1: "c"}, "c": {1: "f"}, "f": {0: "f", 1: "f"}}
+    assert trace_exact(FULL, _TableTree(tuple(x.items()))).exact == HALF
+    x["a"] = {0: "b", 1: "c"}
+    x["b"] = {0: "a"}
+    rows.clear()
+    assert trace_exact(FULL, _TableTree(tuple(x.items()))).exact == Fraction(1, 3)
+    assert rows == [2]
+
+
+def test_trace_exact_roadmap_cases():
+    PJ = make_named("PJ").presentation
+    P, X = product(Q, Q), product(PJ, PJ)
+    assert len(_product_table(P, X)[0]) == 571
+    assert trace_exact(P, X).exact == trace_exact(Q, PJ).exact ** 2
+    P, X = product(product(Q, Q), FULL), product(product(E, Q), PJ)
+    assert len(_product_table(P, X)[0]) == 7039
+    parts = trace_exact(Q, E).exact * trace_exact(Q, Q).exact * trace_exact(FULL, PJ).exact
+    assert trace_exact(P, X).exact == parts
+
+
 def test_product_measure_identity():
     for wp in all_words(3):
         for wq in all_words(3):
@@ -233,6 +362,27 @@ def test_lemma1_witness_not_found_when_trace_positive():
     assert cert.bound == Fraction(1, 2)
     with pytest.raises(WitnessNotFound):
         lemma1_refine(E, Subtree(E, BinWord((0,))), 1, 2)
+    # E's splitting states form a cycle without windows: the search below
+    # the root could never end
+    with pytest.raises(WitnessNotFound, match="^no escape window below ε$"):
+        lemma1_refine(E, FULL, 1, 2)
+
+
+@pytest.mark.parametrize("X", [FULL, BST])
+def test_lemma1_infinite_windowless_search_stops_at_its_caps(X):
+    # no window from a staircase node leaves X, and the staircase's states
+    # never repeat: only the depth cap ends the search
+    with pytest.raises(WitnessNotFound, match="^no escape window below ε$"):
+        lemma1_refine(BST, X, 1, 1)
+
+
+def test_lemma1_search_caps_bound_acyclic_windowless_pairs():
+    # the windowless pairs of this X sit at depths 0 and 1 only: no cycle,
+    # so the search ends, unless its depth cap is below them
+    X = SilverTree((-1, -1, 0), (-1,))
+    assert lemma1_refine(FULL, X, 1, 1).bound == Fraction(1, 2)
+    with pytest.raises(WitnessNotFound):
+        lemma1_refine(FULL, X, 1, 1, max_search_depth=1)
 
 
 def test_lemma1_silver_tree_traced():

@@ -13,6 +13,7 @@ from cantormeasure.errors import (
     NotANode,
     ParseError,
     PresentationError,
+    UnsupportedPresentation,
 )
 from cantormeasure.trees import (
     BlockTree,
@@ -189,6 +190,17 @@ def test_staircase_one_split_per_depth():
     for d in range(12):
         splits = [w for w in frontier_words(tree, d) if children(tree, w) == (0, 1)]
         assert len(splits) == 1, d
+
+
+def test_validate_subtree_of_staircase_and_unknown_navigators():
+    report = validate(Subtree(StaircaseTree(), BinWord((0, 1))))
+    assert report.pruned and report.perfect
+    # a stem above an explicit trie, or a product with the staircase, has
+    # no exact check: a typed error, not an answer
+    explicit = ExplicitTree(2, frozenset(parse_words(["00", "01", "10", "11"])))
+    for tree in (Subtree(explicit, BinWord((0,))), product(StaircaseTree(), E)):
+        with pytest.raises(UnsupportedPresentation):
+            validate(tree)
 
 
 def test_staircase_every_branch_splits_again():
