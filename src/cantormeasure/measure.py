@@ -15,7 +15,7 @@ component.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -34,6 +34,7 @@ from .trees import (
     StaircaseTree,
     Subtree,
     TreePresentation,
+    ancestors,
     to_dsl,
     product as tree_product,
     walk,
@@ -202,9 +203,9 @@ def _solve_trace(
     exact solve in strongly connected components:
 
     - Prob1: the states from which every branch of P stays inside X
-      forever, the greatest fixpoint `full`, have value 1.  A worklist over
-      the reverse edges removes the leaking states and then every parent
-      of a removed state.
+      forever, the greatest fixpoint `full`, have value 1.  They are the
+      states that cannot reach a leaking one (a P-child outside X): one
+      backward search (`trees.ancestors`) over the parent lists.
     - Prob0: a state that cannot reach `full` has value 0, since the
       system has a unique solution and 0 solves its homogeneous part.  One
       backward search from `full` finds the states that can reach it.
@@ -220,25 +221,9 @@ def _solve_trace(
         for t in step[st][1]:
             parents[t].append(st)
 
-    full = set(states)
-    work = [st for st in states if step[st][2]]
-    full.difference_update(work)
-    while work:
-        for st in parents[work.pop()]:
-            if st in full:
-                full.discard(st)
-                work.append(st)
-
-    live = set(full)  # the states that can reach full
-    work = list(full)
-    while work:
-        for st in parents[work.pop()]:
-            if st not in live:
-                live.add(st)
-                work.append(st)
-
+    full = set(states) - ancestors((st for st in states if step[st][2]), parents)
     values = {st: ONE if st in full else ZERO for st in states}
-    unsolved = live - full
+    unsolved = ancestors(full, parents) - full
     for comp in _components(
         [st for st in states if st in unsolved],
         lambda st: [t for t in step[st][1] if t in unsolved],
@@ -356,8 +341,9 @@ def product_measure(P: TreePresentation, Q: TreePresentation, v: BinWord) -> Fra
 class BoundCertificate:
     """A finite cylinder cover of a trace together with its exact bound.
 
-    cover holds explicit (node, level) pairs when small enough; the
-    level-count aggregation is always present and determines the bound.
+    cover holds the explicit (node, level) pairs, or None when some round's
+    cover had more than lemma1_refine's node_cap nodes; the level-count
+    aggregation is always present and determines the bound.
     """
 
     rounds: int
@@ -406,6 +392,12 @@ def lemma1_refine(
     non-escaping window extensions are kept.  The witness search is
     breadth-first and picks the shallowest escape node, then the
     lexicographically least window, so certificates are deterministic.
+
+    The rounds refine cover classes: (P-state, X-state, level) with a node
+    count and the least node word as representative.  The explicit cover
+    is built once, after the rounds, and only when every round's cover
+    has at most node_cap nodes; otherwise the certificate carries the
+    level counts alone.
 
     Raises WitnessNotFound when a reachable cover node has no escape
     window within the search depth.
@@ -501,7 +493,7 @@ def lemma1_refine(
     # cover classes: (p state, x state or None, level) -> [count, representative]
     p0, x0 = pnav.initial, xnav.initial
     cover: Dict[Tuple[object, object, int], List] = {(p0, x0, 0): [1, EMPTY]}
-    explicit: Optional[List[Tuple[BinWord, object, object, int]]] = [(EMPTY, p0, x0, 0)]
+    totals: List[int] = []  # cover nodes after each round
     log: List[str] = []
 
     def cover_bound(cov) -> Fraction:
@@ -511,12 +503,6 @@ def lemma1_refine(
 
     for r in range(rounds):
         new_cover: Dict[Tuple[object, object, int], List] = {}
-        new_explicit: Optional[List[Tuple[BinWord, object, object, int]]] = None
-        if explicit is not None:
-            new_explicit = []
-            members: Dict[Tuple[object, object, int], List[BinWord]] = defaultdict(list)
-            for word, ps, xs, lvl in explicit:
-                members[(ps, xs, lvl)].append(word)
         for (ps, xs, lvl), (cnt, rep) in sorted(
             cover.items(), key=lambda item: str(item[1][1])
         ):
@@ -534,16 +520,9 @@ def lemma1_refine(
                     entry[0] += cnt
                     if rep_word < entry[1]:
                         entry[1] = rep_word
-            if new_explicit is not None:
-                for word in members[(ps, xs, lvl)]:
-                    for suffix, end_p, end_x, gain in kids:
-                        new_explicit.append((BinWord(word.bits + suffix), end_p, end_x, lvl + gain))
-                if len(new_explicit) > node_cap:
-                    new_explicit = None
         cover = new_cover
-        explicit = new_explicit
-        total = sum(cnt for cnt, _ in cover.values())
-        log.append(f"round {r + 1}: cover {total} bound {format_rational(cover_bound(cover))}")
+        totals.append(sum(cnt for cnt, _ in cover.values()))
+        log.append(f"round {r + 1}: cover {totals[-1]} bound {format_rational(cover_bound(cover))}")
 
     bound = cover_bound(cover)
     ceiling = Fraction(2**k - 1, 2**k) ** rounds
@@ -556,8 +535,17 @@ def lemma1_refine(
     for (_, _, lvl), (cnt, _) in cover.items():
         levels[lvl] += cnt
     nodes = None
-    if explicit is not None:
-        nodes = tuple(sorted((w, lvl) for w, _, _, lvl in explicit))
+    if all(total <= node_cap for total in totals):
+        # every class's children are cached by now, so this replays the
+        # rounds on single nodes without another witness search
+        explicit = [((), p0, x0, 0)]
+        for _ in range(rounds):
+            explicit = [
+                (word + suffix, end_p, end_x, lvl + gain)
+                for word, ps, xs, lvl in explicit
+                for suffix, end_p, end_x, gain in class_children(ps, xs)
+            ]
+        nodes = tuple(sorted((BinWord(word), lvl) for word, _, _, lvl in explicit))
     return BoundCertificate(
         rounds=rounds,
         witness_param=k,

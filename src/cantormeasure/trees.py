@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     HorizonExceeded,
@@ -59,10 +59,11 @@ def walk(nav: Navigator, bits: Sequence[int], state) -> Optional[Tuple[object, i
 class TableNavigator(Navigator):
     def __init__(self, initial, trans: Mapping[object, Mapping[int, object]]):
         self.initial = initial
-        self._trans = {s: dict(m) for s, m in trans.items()}
+        # rows in bit order, so that bits() is the row's keys as they stand
+        self._trans = {s: dict(sorted(m.items())) for s, m in trans.items()}
 
     def bits(self, state) -> Tuple[int, ...]:
-        return tuple(sorted(self._trans[state]))
+        return tuple(self._trans[state])
 
     def step(self, state, bit: int):
         return self._trans[state].get(bit)
@@ -417,39 +418,44 @@ def validate(P: TreePresentation) -> ValidationReport:
     raise UnsupportedPresentation(f"no exact validation for {to_dsl(P)}")
 
 
-def _shortest_words(nav: Navigator) -> Dict[object, BinWord]:
-    seen = {nav.initial: EMPTY}
+def ancestors(seeds: Iterable, parents: Mapping[object, Sequence]) -> set:
+    """The seeds and every state with a path into one of them: a backward
+    search over each state's list of parents."""
+    found = set(seeds)
+    work = list(found)
+    while work:
+        for s in parents[work.pop()]:
+            if s not in found:
+                found.add(s)
+                work.append(s)
+    return found
+
+
+def _validate_finite(nav: Navigator) -> ValidationReport:
+    # breadth-first: every state's shortest word (as bits) and its parents
+    shortest = {nav.initial: ()}
+    parents: Dict[object, List[object]] = {nav.initial: []}
     queue = deque([nav.initial])
     while queue:
         s = queue.popleft()
         for b in nav.bits(s):
             t = nav.step(s, b)
-            if t is not None and t not in seen:
-                seen[t] = seen[s].append(b)
+            if t not in shortest:
+                shortest[t] = shortest[s] + (b,)
+                parents[t] = []
                 queue.append(t)
-    return seen
+            parents[t].append(s)
 
+    def witnesses(bad) -> Tuple[BinWord, ...]:
+        return tuple(BinWord(w) for w in sorted(shortest[s] for s in bad))
 
-def _validate_finite(nav: Navigator) -> ValidationReport:
-    witness_of = _shortest_words(nav)
-    states = list(witness_of)
-    dead = [s for s in states if not nav.bits(s)]
+    dead = [s for s in shortest if not nav.bits(s)]
     if dead:
-        ws = tuple(sorted(witness_of[s] for s in dead))
-        return ValidationReport(pruned=False, perfect=False, witnesses=ws)
-    splitting = {s for s in states if len(nav.bits(s)) == 2}
-    reach = set(splitting)
-    changed = True
-    while changed:
-        changed = False
-        for s in states:
-            if s not in reach and any(nav.step(s, b) in reach for b in nav.bits(s)):
-                reach.add(s)
-                changed = True
-    bad = [s for s in states if s not in reach]
+        return ValidationReport(pruned=False, perfect=False, witnesses=witnesses(dead))
+    reach = ancestors((s for s in shortest if len(nav.bits(s)) == 2), parents)
+    bad = [s for s in shortest if s not in reach]
     if bad:
-        ws = tuple(sorted(witness_of[s] for s in bad))
-        return ValidationReport(pruned=True, perfect=False, witnesses=ws)
+        return ValidationReport(pruned=True, perfect=False, witnesses=witnesses(bad))
     return ValidationReport(pruned=True, perfect=True)
 
 

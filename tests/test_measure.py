@@ -337,6 +337,36 @@ def test_lemma1_explicit_cover_agrees_with_levels_and_cap():
             capped = lemma1_refine(P, X, k, rounds, node_cap=cap)
             assert capped.cover is None
             assert (capped.cover_levels, capped.bound) == (cert.cover_levels, cert.bound)
+    # E in the staircase with k 2 has 1, 2, 4, 2 cover nodes after rounds
+    # 0 to 3: a cap of 3 is crossed in round 2 only, and still drops them
+    cert = lemma1_refine(E, BST, 2, 3)
+    assert len(cert.cover) == 2
+    capped = lemma1_refine(E, BST, 2, 3, node_cap=3)
+    assert capped.cover is None
+    assert (capped.cover_levels, capped.bound) == (cert.cover_levels, cert.bound)
+
+
+def test_lemma1_node_cap_bounds_explicit_words(monkeypatch):
+    # round 2 has 1,114,624 cover nodes in a handful of classes; none of
+    # them may be built as explicit words only to be dropped at node_cap
+    built = 0
+
+    class CountingBinWord(BinWord):
+        def __post_init__(self):
+            nonlocal built
+            built += 1
+            super().__post_init__()
+
+    monkeypatch.setattr(measure, "BinWord", CountingBinWord)
+    X = product(SilverTree((), (-1,)), product(
+        BlockTree(1, frozenset(parse_words(["0", "1"]))),
+        BlockTree(3, frozenset(parse_words(["000", "010", "100"]))),
+    ))
+    cert = lemma1_refine(FULL, X, 1, 2)
+    assert built < 20000
+    assert cert.cover is None
+    assert cert.cover_levels == ((12, 512), (20, 65536), (24, 1048576))
+    assert cert.bound == Fraction(1, 4)
 
 
 def test_lemma1_E_staircase():

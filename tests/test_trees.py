@@ -4,6 +4,10 @@ Each presentation kind gets an independent definition-level membership
 predicate; automata must agree with it on every word up to a test depth.
 """
 
+import random
+from collections import deque
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +26,9 @@ from cantormeasure.trees import (
     SilverTree,
     StaircaseTree,
     Subtree,
+    TableNavigator,
+    TreePresentation,
+    ValidationReport,
     children,
     contains,
     frontier_words,
@@ -201,6 +208,82 @@ def test_validate_subtree_of_staircase_and_unknown_navigators():
     for tree in (Subtree(explicit, BinWord((0,))), product(StaircaseTree(), E)):
         with pytest.raises(UnsupportedPresentation):
             validate(tree)
+
+
+def _scan_validate(nav):
+    """Reference: shortest words by breadth-first search, then the states
+    that reach a splitting state by scans repeated until nothing changes."""
+    witness_of = {nav.initial: EMPTY}
+    queue = deque([nav.initial])
+    while queue:
+        s = queue.popleft()
+        for b in nav.bits(s):
+            t = nav.step(s, b)
+            if t is not None and t not in witness_of:
+                witness_of[t] = witness_of[s].append(b)
+                queue.append(t)
+    states = list(witness_of)
+    dead = [s for s in states if not nav.bits(s)]
+    if dead:
+        return ValidationReport(False, False, tuple(sorted(witness_of[s] for s in dead)))
+    reach = {s for s in states if len(nav.bits(s)) == 2}
+    changed = True
+    while changed:
+        changed = False
+        for s in states:
+            if s not in reach and any(nav.step(s, b) in reach for b in nav.bits(s)):
+                reach.add(s)
+                changed = True
+    bad = [s for s in states if s not in reach]
+    if bad:
+        return ValidationReport(True, False, tuple(sorted(witness_of[s] for s in bad)))
+    return ValidationReport(True, True)
+
+
+@dataclass(frozen=True)
+class _TableTree(TreePresentation):
+    """A tree given by its transition table, from state 0; a state with an
+    empty row is a dead end."""
+
+    table: tuple
+
+    def _compile(self):
+        return TableNavigator(0, dict(self.table))
+
+
+def _random_validation_tree(rng, depth=0):
+    roll = rng.random()
+    if roll < 0.2:
+        n = rng.randint(1, 5)
+        rows = []
+        for s in range(n):
+            kept = [b for b in (0, 1) if rng.random() < 0.7]
+            rows.append((s, {b: rng.randrange(n) for b in kept}))
+        return _TableTree(tuple(rows))
+    if roll < 0.5 or depth == 2:
+        k = rng.choice((1, 2, 3))
+        blocks = rng.sample(list(all_words(k)), rng.randint(1, 2**k))
+        return BlockTree(k, frozenset(blocks))
+    if roll < 0.7:
+        period = tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 3))) + (-1,)
+        return SilverTree(tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 2))), period)
+    if roll < 0.85:
+        return product(
+            _random_validation_tree(rng, depth + 1), _random_validation_tree(rng, depth + 1)
+        )
+    base = _random_validation_tree(rng, depth + 1)
+    return Subtree(base, rng.choice(list(node_words(base, 3))))
+
+
+def test_validate_matches_fixpoint_scan():
+    rng = random.Random(2016)
+    kinds = set()
+    for _ in range(300):
+        tree = _random_validation_tree(rng)
+        report = validate(tree)
+        assert report == _scan_validate(tree.navigator()), tree
+        kinds.add((report.pruned, report.perfect))
+    assert kinds == {(False, False), (True, False), (True, True)}
 
 
 def test_staircase_every_branch_splits_again():
