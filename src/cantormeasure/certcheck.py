@@ -1,19 +1,35 @@
 """Independent replay checker for serialized bound certificates.
 
 The checker re-derives the certified bound from the cover alone and,
-when the cover carries explicit nodes, re-counts every level with plain
-membership queries instead of the measure engine's level bookkeeping.
+when the cover carries explicit nodes, re-counts every level from the
+tree's own transitions instead of the measure engine's level bookkeeping.
+One walk takes the cover words in file order and resumes each word at its
+longest common prefix with the previous one.  At every node on the way it
+tests membership of both children, one navigator step each, and counts a
+branching point when both are in the tree.  For a sorted cover, as
+lemma1_refine emits it, that is at most two steps per distinct prefix of
+the cover words; lines in any other order give the same answer with more
+steps.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .errors import ParseError
-from .trees import TreePresentation, contains, parse_tree_expr
-from .words import BinWord
+from .errors import CantorMeasureError, ParseError
+from .trees import Navigator, parse_tree_expr
+from .words import BinWord, parse_bits
+
+_FIELDS = ("p", "x", "k", "rounds", "mode", "bound")
+# Levels, k and k * rounds are exponents of 2 in the sums below.  Above
+# this one a power of 2 takes long to build and its fractions are too long
+# to print (Python prints integers of at most 4,300 digits; 2**14_000 has
+# 4,215), so no emitted certificate carries one.
+_MAX_EXPONENT = 14_000
+_RATIONAL = re.compile(r"[0-9]+(/0*[1-9][0-9]*)?")
 
 
 @dataclass(frozen=True)
@@ -24,14 +40,53 @@ class CheckResult:
     messages: Tuple[str, ...]
 
 
-def _level_by_membership(P: TreePresentation, w: BinWord) -> int:
-    """Branching points strictly below w, counted with contains() only."""
-    count = 0
-    for n in range(len(w)):
-        prefix = w.prefix(n)
-        if contains(P, prefix.append(0)) and contains(P, prefix.append(1)):
-            count += 1
-    return count
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a natural number, got {text!r}")
+    return value
+
+
+def _exponent(text: str) -> int:
+    value = _natural(text)
+    if value > _MAX_EXPONENT:
+        raise ValueError(f"exponent {value} exceeds {_MAX_EXPONENT}")
+    return value
+
+
+def _replay(nav: Navigator, cover: Sequence[Tuple[Tuple[int, ...], int]]) -> List[str]:
+    """A message for every cover word that is not a node of the tree or
+    whose stated level differs from the branching points strictly below it."""
+    messages: List[str] = []
+    prev: Tuple[int, ...] = ()
+    # along the last word, as far as it stayed in the tree: the state and
+    # the branching points passed at each depth, and the children of each
+    # node the walk has looked below
+    states: List[object] = [nav.initial]
+    splits = [0]
+    kids: List[Tuple[object, object]] = []
+    for bits, lvl in cover:
+        n, top = 0, min(len(bits), len(states) - 1)
+        while n < top and bits[n] == prev[n]:
+            n += 1
+        del states[n + 1:], splits[n + 1:], kids[n + 1:]
+        for i in range(n, len(bits)):
+            if i == len(kids):
+                kids.append((nav.step(states[i], 0), nav.step(states[i], 1)))
+            zero, one = kids[i]
+            child = one if bits[i] else zero
+            if child is None:
+                break
+            states.append(child)
+            splits.append(splits[i] + (zero is not None and one is not None))
+        prev = bits
+        if len(states) <= len(bits):
+            messages.append(f"cover node {BinWord(bits)} is not a node of the tree")
+        elif splits[len(bits)] != lvl:
+            messages.append(
+                f"node {BinWord(bits)}: stated level {lvl}, recomputed {splits[len(bits)]}"
+            )
+    return messages
 
 
 def check_certificate(text: str) -> CheckResult:
@@ -39,7 +94,8 @@ def check_certificate(text: str) -> CheckResult:
 
     Verifies that the bound equals the cover sum, that it respects the
     ((2^k-1)/2^k)^rounds ceiling, and (explicit covers only) that every
-    cover node lies in the tree with the stated level.
+    cover node lies in the tree with the stated level.  Never raises: a
+    malformed certificate gives ok=False and says why.
     """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     messages: List[str] = []
@@ -48,7 +104,7 @@ def check_certificate(text: str) -> CheckResult:
         if header != "certificate lemma1 v1":
             raise ParseError(f"unexpected header {header!r}", 1)
         fields = {}
-        cover: List[Tuple[str, int]] = []
+        cover: List[Tuple[Tuple[int, ...], int]] = []
         agg: List[Tuple[int, int]] = []
         for i, ln in enumerate(lines[1:], start=2):
             if ln == "end":
@@ -56,21 +112,34 @@ def check_certificate(text: str) -> CheckResult:
             key, _, rest = ln.partition(" ")
             if key == "cover":
                 node, _, lvl = rest.partition(":")
-                cover.append((node, int(lvl)))
+                cover.append((parse_bits(node), _exponent(lvl)))
             elif key == "agg":
                 lvl, _, cnt = rest.partition(":")
-                agg.append((int(lvl), int(cnt)))
-            elif key in ("p", "x", "k", "rounds", "mode", "bound"):
+                level, count = _exponent(lvl), _natural(cnt)
+                # a cover's nodes of one level are disjoint cylinders of
+                # measure 1/2^level each
+                if count > 2**level:
+                    raise ValueError(f"count {count} exceeds 2^{level}")
+                agg.append((level, count))
+            elif key in _FIELDS:
                 fields[key] = rest
             else:
                 raise ParseError(f"unknown certificate line {ln!r}", i)
-        k = int(fields["k"])
-        rounds = int(fields["rounds"])
+        else:
+            raise ValueError("no end line")
+        k, rounds = _exponent(fields["k"]), _natural(fields["rounds"])
+        if k * rounds > _MAX_EXPONENT:
+            raise ValueError(f"exponent k * rounds = {k * rounds} exceeds {_MAX_EXPONENT}")
+        if not _RATIONAL.fullmatch(fields["bound"]):
+            raise ValueError(f"bound is not n or n/d with d > 0: {fields['bound']!r}")
         bound = Fraction(fields["bound"])
+        mode, p = fields["mode"], fields["p"]
+        if mode not in ("nodes", "levels"):
+            raise ValueError(f"unknown mode {mode!r}")
     except (KeyError, ValueError, IndexError, ParseError) as exc:
         return CheckResult(False, None, None, (f"malformed certificate: {exc}",))
 
-    if fields.get("mode") == "nodes":
+    if mode == "nodes":
         recomputed = sum((Fraction(1, 2**lvl) for _, lvl in cover), Fraction(0))
     else:
         recomputed = sum((Fraction(cnt, 2**lvl) for lvl, cnt in agg), Fraction(0))
@@ -86,21 +155,14 @@ def check_certificate(text: str) -> CheckResult:
         ok = False
         messages.append(f"bound {bound} exceeds ceiling {ceiling}")
 
-    if fields.get("mode") == "nodes" and "p" in fields:
+    if mode == "nodes":
         try:
-            tree = parse_tree_expr(fields["p"])
-        except ParseError as exc:
-            tree = None
+            nav = parse_tree_expr(p).navigator()
+        except CantorMeasureError as exc:
+            ok = False
             messages.append(f"cannot replay levels: {exc}")
-        if tree is not None:
-            for node_text, lvl in cover:
-                w = BinWord.from_str(node_text)
-                if not contains(tree, w):
-                    ok = False
-                    messages.append(f"cover node {w} is not a node of the tree")
-                    continue
-                actual = _level_by_membership(tree, w)
-                if actual != lvl:
-                    ok = False
-                    messages.append(f"node {w}: stated level {lvl}, recomputed {actual}")
+        else:
+            replayed = _replay(nav, cover)
+            ok = ok and not replayed
+            messages.extend(replayed)
     return CheckResult(ok, bound, recomputed, tuple(messages))

@@ -176,15 +176,14 @@ def _classify_enumerated(nav: Navigator, depth: int) -> Classification:
     min_count = None
     for d in range(depth):
         cur = level_nodes[-1]
-        bitsets = {nav.bits(st) for st, _ in cur}
-        n_split = sum(1 for st, _ in cur if len(nav.bits(st)) == 2)
+        cur_bits = [nav.bits(st) for st, _ in cur]
+        n_split = sum(1 for bs in cur_bits if len(bs) == 2)
         if 0 < n_split < len(cur):
             uniform = False
-        if len(bitsets) > 1:
+        if len(set(cur_bits)) > 1:
             silver = False
         nxt: List[Tuple[object, int]] = []
-        for st, count in cur:
-            bs = nav.bits(st)
+        for (st, count), bs in zip(cur, cur_bits):
             if len(bs) == 2:
                 s.setdefault(count, d)
                 S[count] = d

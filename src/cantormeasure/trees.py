@@ -406,12 +406,16 @@ def validate(P: TreePresentation) -> ValidationReport:
     nav = P.navigator()
     if nav.finite:
         return _validate_finite(nav)
-    if isinstance(nav, TrieNavigator):
-        return _validate_trie(nav)
-    # a stem adds one forced path above a node of its base, which keeps a
-    # pruned and perfect base pruned and perfect
+    # a stem keeps the nodes of its base comparable with it: a pruned and
+    # perfect base stays pruned and perfect, and below a trie those nodes
+    # are checked exactly
+    stems = []
     while isinstance(nav, StemNavigator):
+        stems.append(nav.stem)
         nav = nav.base
+    if isinstance(nav, TrieNavigator):
+        nodes = [t for t in nav._nodes if all(t[: len(s)] == s[: len(t)] for s in stems)]
+        return _validate_trie(nav.depth, frozenset(nodes))
     if isinstance(nav, StaircaseNavigator):
         # pruned and perfect by its rotating-split construction
         return ValidationReport(pruned=True, perfect=True)
@@ -459,26 +463,26 @@ def _validate_finite(nav: Navigator) -> ValidationReport:
     return ValidationReport(pruned=True, perfect=True)
 
 
-def _validate_trie(nav: TrieNavigator) -> ValidationReport:
-    nodes = sorted(nav._nodes, key=lambda t: (len(t), t))
+def _validate_trie(depth: int, node_set: FrozenSet[Tuple[int, ...]]) -> ValidationReport:
+    nodes = sorted(node_set, key=lambda t: (len(t), t))
     pruned_witness = [
-        t for t in nodes if len(t) < nav.depth and not any(t + (b,) in nav._nodes for b in (0, 1))
+        t for t in nodes if len(t) < depth and not any(t + (b,) in node_set for b in (0, 1))
     ]
     if pruned_witness:
         ws = tuple(BinWord(t) for t in pruned_witness)
-        return ValidationReport(False, False, ws, exact_to=nav.depth)
+        return ValidationReport(False, False, ws, exact_to=depth)
     splits = {
-        t for t in nodes if len(t) < nav.depth and all(t + (b,) in nav._nodes for b in (0, 1))
+        t for t in nodes if len(t) < depth and all(t + (b,) in node_set for b in (0, 1))
     }
     bad = []
     for t in nodes:
-        if len(t) >= nav.depth:
+        if len(t) >= depth:
             continue
         if not any(s[: len(t)] == t for s in splits):
             bad.append(t)
     if bad:
-        return ValidationReport(True, False, tuple(BinWord(t) for t in bad), exact_to=nav.depth)
-    return ValidationReport(True, True, exact_to=nav.depth)
+        return ValidationReport(True, False, tuple(BinWord(t) for t in bad), exact_to=depth)
+    return ValidationReport(True, True, exact_to=depth)
 
 
 # ---------------------------------------------------------------------------

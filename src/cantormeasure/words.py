@@ -25,11 +25,7 @@ class BinWord:
 
     @classmethod
     def from_str(cls, text: str) -> "BinWord":
-        if text in ("", "ε"):
-            return cls(())
-        if not set(text) <= {"0", "1"}:
-            raise ValueError(f"not a binary word: {text!r}")
-        return cls(tuple(int(c) for c in text))
+        return cls(parse_bits(text))
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits) if self.bits else "ε"
@@ -61,6 +57,16 @@ class BinWord:
 
 
 EMPTY = BinWord()
+
+
+def parse_bits(text: str) -> Tuple[Bit, ...]:
+    """The bits of a word written as str(BinWord) writes it ("ε" or "" for
+    the empty word); raises ValueError for any other character."""
+    if text in ("", "ε"):
+        return ()
+    if not set(text) <= {"0", "1"}:
+        raise ValueError(f"not a binary word: {text!r}")
+    return tuple(int(c) for c in text)
 
 
 @dataclass(frozen=True, order=True)

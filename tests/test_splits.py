@@ -12,6 +12,7 @@ from cantormeasure.trees import (
     ExplicitTree,
     FullTree,
     SilverTree,
+    StaircaseNavigator,
     StaircaseTree,
     children,
     contains,
@@ -117,10 +118,21 @@ def test_classify_depth_qualified_for_explicit():
     assert c.exact_to == 2
 
 
-def test_classify_staircase():
+def test_classify_staircase(monkeypatch):
+    reads = 0
+    bits = StaircaseNavigator.bits
+
+    def counting_bits(self, state):
+        nonlocal reads
+        reads += 1
+        return bits(self, state)
+
+    monkeypatch.setattr(StaircaseNavigator, "bits", counting_bits)
     c = classify(StaircaseTree(), depth=24)
     assert c.balanced and not c.uniform and not c.silver
     assert c.exact_to == 24
+    # one read per node above depth 24: the staircase has d + 1 nodes at depth d
+    assert reads == sum(d + 1 for d in range(24))
 
 
 def test_classify_not_balanced_witnessed_by_profile():

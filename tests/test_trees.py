@@ -202,12 +202,21 @@ def test_staircase_one_split_per_depth():
 def test_validate_subtree_of_staircase_and_unknown_navigators():
     report = validate(Subtree(StaircaseTree(), BinWord((0, 1))))
     assert report.pruned and report.perfect
-    # a stem above an explicit trie, or a product with the staircase, has
-    # no exact check: a typed error, not an answer
+    # a stem above an explicit trie keeps the trie's nodes comparable with
+    # it, checked exactly up to the trie's depth
     explicit = ExplicitTree(2, frozenset(parse_words(["00", "01", "10", "11"])))
-    for tree in (Subtree(explicit, BinWord((0,))), product(StaircaseTree(), E)):
-        with pytest.raises(UnsupportedPresentation):
-            validate(tree)
+    assert validate(Subtree(explicit, BinWord((0,)))) == ValidationReport(True, True, exact_to=2)
+    assert validate(Subtree(Subtree(explicit, BinWord((0,))), BinWord((0, 1)))) == (
+        ValidationReport(True, False, parse_words(["", "0"]), exact_to=2)
+    )
+    uneven = ExplicitTree(2, frozenset(parse_words(["00", "01", "10"])))
+    assert validate(Subtree(uneven, BinWord((1,)))) == (
+        ValidationReport(True, False, parse_words(["", "1"]), exact_to=2)
+    )
+    # a product with the staircase has no exact check: a typed error, not
+    # an answer
+    with pytest.raises(UnsupportedPresentation):
+        validate(product(StaircaseTree(), E))
 
 
 def _scan_validate(nav):
