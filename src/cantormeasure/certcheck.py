@@ -97,16 +97,17 @@ def check_certificate(text: str) -> CheckResult:
     cover node lies in the tree with the stated level.  Never raises: a
     malformed certificate gives ok=False and says why.
     """
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    # blank lines are skipped, but count toward the line numbers
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     messages: List[str] = []
     try:
-        header = lines[0]
+        first, header = lines[0]
         if header != "certificate lemma1 v1":
-            raise ParseError(f"unexpected header {header!r}", 1)
+            raise ParseError(f"unexpected header {header!r}", first)
         fields = {}
         cover: List[Tuple[Tuple[int, ...], int]] = []
         agg: List[Tuple[int, int]] = []
-        for i, ln in enumerate(lines[1:], start=2):
+        for i, ln in lines[1:]:
             if ln == "end":
                 break
             key, _, rest = ln.partition(" ")

@@ -394,10 +394,12 @@ def lemma1_refine(
     lexicographically least window, so certificates are deterministic.
 
     The rounds refine cover classes: (P-state, X-state, level) with a node
-    count and the least node word as representative.  The explicit cover
-    is built once, after the rounds, and only when every round's cover
-    has at most node_cap nodes; otherwise the certificate carries the
-    level counts alone.
+    count and the least node word as representative.  Each (P-state,
+    X-state) pair is walked once, into one entry: its escape window and
+    the cylinders that replace a node with these states.  The explicit
+    cover is built once, after the rounds, and only when every round's
+    cover has at most node_cap nodes; otherwise the certificate carries
+    the level counts alone.
 
     Raises WitnessNotFound when a reachable cover node has no escape
     window within the search depth.
@@ -412,81 +414,73 @@ def lemma1_refine(
         end = None if x is None else walk(xnav, bits, x)
         return None if end is None else end[0]
 
-    Pair = Tuple[object, object]
-    window_of: Dict[Pair, Optional[Tuple[int, ...]]] = {}
-    steps_of: Dict[Pair, List[Tuple[int, object, object]]] = {}
+    # (suffix bits, end P-state, end X-state or None, levels gained)
+    Child = Tuple[Tuple[int, ...], object, object, int]
+    entries: Dict[ProductState, Tuple[Optional[Tuple[int, ...]], List[Child]]] = {}
 
-    def escape_window(p, x) -> Optional[Tuple[int, ...]]:
-        """The least window that stays in P and leaves X from these states."""
-        if (p, x) not in window_of:
-            window_of[(p, x)] = next(
-                (wb for wb in windows if walk(pnav, wb, p) is not None and x_walk(x, wb) is None),
-                None,
-            )
-        return window_of[(p, x)]
+    def in_p(p, x, words) -> List[Child]:
+        """A child for each of the words that stays in P from these states."""
+        out: List[Child] = []
+        for wb in words:
+            walked = walk(pnav, wb, p)
+            if walked is not None:
+                out.append((wb, walked[0], x_walk(x, wb), walked[1]))
+        return out
 
-    def pair_steps(p, x) -> List[Tuple[int, object, object]]:
-        """(bit, child P-state, child X-state or None) for every P-child."""
-        if (p, x) not in steps_of:
-            steps_of[(p, x)] = [(b, pnav.step(p, b), x_walk(x, (b,))) for b in pnav.bits(p)]
-        return steps_of[(p, x)]
+    def pair_entry(p, x) -> Tuple[Optional[Tuple[int, ...]], List[Child]]:
+        """The pair's escape window, the least window that stays in P and
+        leaves X (or None), and the children that replace a node with these
+        states: the other windows that stay in P, or without a window its
+        one-bit P-children."""
+        if (p, x) not in entries:
+            kids = in_p(p, x, windows)
+            window = next((wb for wb, _, end_x, _ in kids if end_x is None), None)
+            if window is None:
+                kids = in_p(p, x, ((0,), (1,)))
+            else:
+                kids = [kid for kid in kids if kid[0] != window]
+            entries[(p, x)] = (window, kids)
+        return entries[(p, x)]
 
-    def windowless_kids(pair: Pair) -> List[Pair]:
-        return [(p, x) for _, p, x in pair_steps(*pair) if escape_window(p, x) is None]
+    def windowless_kids(pair: ProductState) -> List[ProductState]:
+        return [(p, x) for _, p, x, _ in pair_entry(*pair)[1] if pair_entry(p, x)[0] is None]
 
     def windowless_cycle(ps, xs) -> bool:
         """Whether the windowless pairs the search below (ps, xs) expands
         contain a cycle: the search then has an infinite path and fails.
         Only finite-state navigators are walked here; the states of an
         infinite one need not repeat, so it is left to the capped search."""
-        if not (pnav.finite and xnav.finite) or escape_window(ps, xs) is not None:
+        if not (pnav.finite and xnav.finite) or pair_entry(ps, xs)[0] is not None:
             return False
         return any(
             len(comp) > 1 or comp[0] in windowless_kids(comp[0])
             for comp in _components([(ps, xs)], windowless_kids)
         )
 
-    def refine_pattern(ps, xs) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """Finalized (relative word, escape window) pairs partitioning the
-        subtree at a node with these states."""
-        if windowless_cycle(ps, xs):
-            raise WitnessNotFound(None)
-        out: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        frontier: List[Tuple[Tuple[int, ...], object, object]] = [((), ps, xs)]
-        explored = 0
-        while frontier:
-            nxt: List[Tuple[Tuple[int, ...], object, object]] = []
-            for rel, p, x in frontier:
-                explored += 1
-                if len(rel) > max_search_depth or explored > 50_000:
-                    raise WitnessNotFound(None)
-                window = escape_window(p, x)
-                if window is not None:
-                    out.append((rel, window))
-                else:
-                    for b, p_child, x_child in pair_steps(p, x):
-                        nxt.append((rel + (b,), p_child, x_child))
-            frontier = nxt
-        out.sort()
-        return out
-
-    Child = Tuple[Tuple[int, ...], object, object, int]
-    children_of: Dict[Tuple[object, object], List[Child]] = {}
+    children_of: Dict[ProductState, List[Child]] = {}
 
     def class_children(ps, xs) -> List[Child]:
-        """(suffix bits, end P-state, end X-state, levels gained) of every
-        cylinder that replaces a cover node with these states."""
+        """The cylinders that replace a cover node with these states: a
+        breadth-first search for the shallowest escape nodes below it, each
+        replaced by its other windows."""
         key = (ps, xs)
         if key not in children_of:
+            if windowless_cycle(ps, xs):
+                raise WitnessNotFound(None)
             out: List[Child] = []
-            for rel, window in refine_pattern(ps, xs):
-                mid_p, mid_gain = walk(pnav, rel, ps)
-                mid_x = x_walk(xs, rel)
-                for wb in windows:
-                    walked = None if wb == window else walk(pnav, wb, mid_p)
-                    if walked is not None:
-                        end_p, wgain = walked
-                        out.append((rel + wb, end_p, x_walk(mid_x, wb), mid_gain + wgain))
+            frontier: List[Child] = [((), ps, xs, 0)]
+            explored = 0
+            while frontier:
+                nxt: List[Child] = []
+                for rel, p, x, gain in frontier:
+                    explored += 1
+                    if len(rel) > max_search_depth or explored > 50_000:
+                        raise WitnessNotFound(None)
+                    window, kids = pair_entry(p, x)
+                    into = nxt if window is None else out
+                    for bits, end_p, end_x, more in kids:
+                        into.append((rel + bits, end_p, end_x, gain + more))
+                frontier = nxt
             children_of[key] = out
         return children_of[key]
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import NotANode, PresentationError
-from .trees import Navigator, TreePresentation, TrieNavigator, walk
+from .trees import Navigator, TreePresentation, TrieNavigator, below_stems, walk
 from .words import EMPTY, BinWord
 
 _FORCED_WALK_CAP = 100_000
@@ -165,8 +165,9 @@ def _classify_finite(nav: Navigator, budget: int) -> Classification:
 
 
 def _classify_enumerated(nav: Navigator, depth: int) -> Classification:
-    if isinstance(nav, TrieNavigator):
-        depth = min(depth, nav.depth)
+    base = below_stems(nav)
+    if isinstance(base, TrieNavigator):
+        depth = min(depth, base.depth)
     level_nodes: List[List[Tuple[object, int]]] = [[(nav.initial, 0)]]
     uniform = True
     silver = True

@@ -11,7 +11,6 @@ carry a hard horizon and fail loudly past it.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -401,25 +400,53 @@ class ValidationReport:
             raise PresentationError("perfect implies pruned")
 
 
-def validate(P: TreePresentation) -> ValidationReport:
-    """Prunedness and perfection, exact for finite-state presentations."""
-    nav = P.navigator()
-    if nav.finite:
-        return _validate_finite(nav)
-    # a stem keeps the nodes of its base comparable with it: a pruned and
-    # perfect base stays pruned and perfect, and below a trie those nodes
-    # are checked exactly
-    stems = []
+def below_stems(nav: Navigator) -> Navigator:
+    """The navigator under any stems: a stem keeps the nodes of its base
+    comparable with it, so the base's horizon and construction hold."""
     while isinstance(nav, StemNavigator):
-        stems.append(nav.stem)
         nav = nav.base
-    if isinstance(nav, TrieNavigator):
-        nodes = [t for t in nav._nodes if all(t[: len(s)] == s[: len(t)] for s in stems)]
-        return _validate_trie(nav.depth, frozenset(nodes))
-    if isinstance(nav, StaircaseNavigator):
+    return nav
+
+
+def validate(P: TreePresentation) -> ValidationReport:
+    """Prunedness and perfection by one breadth-first search over the
+    navigator's states; witnesses are the shortest words of the failing
+    states, in lexicographic order.  Exact for finite-state presentations;
+    explicit trees and stems over them are checked up to their horizon,
+    the trie's depth, which is exact_to: states there are recorded but
+    neither expanded nor checked."""
+    nav = P.navigator()
+    base = below_stems(nav)
+    if isinstance(base, StaircaseNavigator):
         # pruned and perfect by its rotating-split construction
         return ValidationReport(pruned=True, perfect=True)
-    raise UnsupportedPresentation(f"no exact validation for {to_dsl(P)}")
+    horizon = base.depth if isinstance(base, TrieNavigator) else None
+    if not nav.finite and horizon is None:
+        raise UnsupportedPresentation(f"no exact validation for {to_dsl(P)}")
+    # every state's shortest word (as bits) and its parents; inner holds
+    # the states short of the horizon, breadth-first, and grows while read
+    shortest = {nav.initial: ()}
+    parents: Dict[object, List[object]] = {nav.initial: []}
+    inner = [nav.initial] if horizon != 0 else []
+    for s in inner:
+        for b in nav.bits(s):
+            t = nav.step(s, b)
+            if t not in shortest:
+                word = shortest[t] = shortest[s] + (b,)
+                parents[t] = []
+                if len(word) != horizon:
+                    inner.append(t)
+            parents[t].append(s)
+    # the failing states: the dead ends, or else those that reach no split
+    bad = [s for s in inner if not nav.bits(s)]
+    pruned = not bad
+    if pruned:
+        reach = ancestors((s for s in inner if len(nav.bits(s)) == 2), parents)
+        bad = [s for s in inner if s not in reach]
+    if not bad:
+        return ValidationReport(True, True, exact_to=horizon)
+    ws = tuple(BinWord(w) for w in sorted(shortest[s] for s in bad))
+    return ValidationReport(pruned, False, ws, exact_to=horizon)
 
 
 def ancestors(seeds: Iterable, parents: Mapping[object, Sequence]) -> set:
@@ -433,56 +460,6 @@ def ancestors(seeds: Iterable, parents: Mapping[object, Sequence]) -> set:
                 found.add(s)
                 work.append(s)
     return found
-
-
-def _validate_finite(nav: Navigator) -> ValidationReport:
-    # breadth-first: every state's shortest word (as bits) and its parents
-    shortest = {nav.initial: ()}
-    parents: Dict[object, List[object]] = {nav.initial: []}
-    queue = deque([nav.initial])
-    while queue:
-        s = queue.popleft()
-        for b in nav.bits(s):
-            t = nav.step(s, b)
-            if t not in shortest:
-                shortest[t] = shortest[s] + (b,)
-                parents[t] = []
-                queue.append(t)
-            parents[t].append(s)
-
-    def witnesses(bad) -> Tuple[BinWord, ...]:
-        return tuple(BinWord(w) for w in sorted(shortest[s] for s in bad))
-
-    dead = [s for s in shortest if not nav.bits(s)]
-    if dead:
-        return ValidationReport(pruned=False, perfect=False, witnesses=witnesses(dead))
-    reach = ancestors((s for s in shortest if len(nav.bits(s)) == 2), parents)
-    bad = [s for s in shortest if s not in reach]
-    if bad:
-        return ValidationReport(pruned=True, perfect=False, witnesses=witnesses(bad))
-    return ValidationReport(pruned=True, perfect=True)
-
-
-def _validate_trie(depth: int, node_set: FrozenSet[Tuple[int, ...]]) -> ValidationReport:
-    nodes = sorted(node_set, key=lambda t: (len(t), t))
-    pruned_witness = [
-        t for t in nodes if len(t) < depth and not any(t + (b,) in node_set for b in (0, 1))
-    ]
-    if pruned_witness:
-        ws = tuple(BinWord(t) for t in pruned_witness)
-        return ValidationReport(False, False, ws, exact_to=depth)
-    splits = {
-        t for t in nodes if len(t) < depth and all(t + (b,) in node_set for b in (0, 1))
-    }
-    bad = []
-    for t in nodes:
-        if len(t) >= depth:
-            continue
-        if not any(s[: len(t)] == t for s in splits):
-            bad.append(t)
-    if bad:
-        return ValidationReport(True, False, tuple(BinWord(t) for t in bad), exact_to=depth)
-    return ValidationReport(True, True, exact_to=depth)
 
 
 # ---------------------------------------------------------------------------

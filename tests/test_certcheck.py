@@ -227,6 +227,13 @@ LEVELS = VALID.replace("mode nodes\ncover 00:2\ncover 10:2\ncover 11:2", "mode l
                  "malformed certificate: unknown mode 'node'", id="unknown-mode"),
     pytest.param(VALID.replace("end\n", ""), "malformed certificate: no end line", id="no-end"),
     pytest.param(VALID.replace("p full\n", ""), "malformed certificate: 'p'", id="no-tree"),
+    # blank lines count toward the line numbers
+    pytest.param("certificate lemma1 v1\n\n\np full\nfoo bar\nend\n",
+                 "malformed certificate: line 5: unknown certificate line 'foo bar'",
+                 id="unknown-line-after-blanks"),
+    pytest.param("\n\n" + VALID.replace("lemma1 v1", "lemma1 v0"),
+                 "malformed certificate: line 3: unexpected header 'certificate lemma1 v0'",
+                 id="bad-header-after-blanks"),
     pytest.param(VALID.replace("p full", "p words{00 11}").replace("cover 11:2", "cover 110:2"),
                  "cover node 110 is not a node of the tree", id="past-horizon"),
     pytest.param(VALID.replace("p full", "p subtree(words{00 11},000)"),

@@ -143,6 +143,17 @@ def test_max_depth_caps_queries():
     assert "at depth 6" in report.text
 
 
+def test_classify_stops_at_the_horizon_below_a_stem():
+    report = run(parse(
+        "tree T = words{00 01 10 11}\n"
+        "tree A = subtree(T,0)\n"
+        "query classify T depth 5\n"
+        "query classify A depth 5\n"
+    ))
+    assert "error" not in report.text
+    assert report.text.count("up-to-depth(2)") == 2
+
+
 def test_negative_max_depth_is_rejected(tmp_path, capsys):
     with pytest.raises(ValueError):
         run(parse("query classify BST depth 5"), max_depth=-2)

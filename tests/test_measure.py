@@ -11,9 +11,16 @@ from hypothesis import strategies as st
 from cantormeasure import measure
 from cantormeasure.certcheck import check_certificate
 from cantormeasure.constructions import make_named
-from cantormeasure.errors import UnsupportedPresentation, WitnessNotFound
+from cantormeasure.errors import (
+    CantorMeasureError,
+    IntegrityError,
+    UnsupportedPresentation,
+    WitnessNotFound,
+)
 from cantormeasure.measure import (
     HALF,
+    BoundCertificate,
+    _components,
     _product_step,
     _solve_exact,
     _solve_trace,
@@ -31,6 +38,7 @@ from cantormeasure.measure import (
 from cantormeasure.splits import level
 from cantormeasure.trees import (
     BlockTree,
+    ExplicitTree,
     FullTree,
     SilverTree,
     StaircaseTree,
@@ -41,6 +49,8 @@ from cantormeasure.trees import (
     frontier_words,
     node_words,
     product,
+    to_dsl,
+    walk,
 )
 from cantormeasure.words import BinWord, NatWord, all_words, interleave, parse_words
 
@@ -413,6 +423,177 @@ def test_lemma1_search_caps_bound_acyclic_windowless_pairs():
     assert lemma1_refine(FULL, X, 1, 1).bound == Fraction(1, 2)
     with pytest.raises(WitnessNotFound):
         lemma1_refine(FULL, X, 1, 1, max_search_depth=1)
+
+
+def _reference_lemma1(P, X, k, rounds, max_search_depth=48, node_cap=20000):
+    """lemma1_refine as it was with a window cache and a step cache per
+    pair: the search collects (relative word, escape window) pairs, and
+    each class's children re-walk them afterwards."""
+    if k < 1:
+        raise ValueError("window length k must be at least 1")
+    pnav, xnav = P.navigator(), X.navigator()
+    windows = [w.bits for w in all_words(k)]
+
+    def x_walk(x, bits):
+        end = None if x is None else walk(xnav, bits, x)
+        return None if end is None else end[0]
+
+    window_of, steps_of, children_of = {}, {}, {}
+
+    def escape_window(p, x):
+        if (p, x) not in window_of:
+            window_of[(p, x)] = next(
+                (wb for wb in windows if walk(pnav, wb, p) is not None and x_walk(x, wb) is None),
+                None,
+            )
+        return window_of[(p, x)]
+
+    def pair_steps(p, x):
+        if (p, x) not in steps_of:
+            steps_of[(p, x)] = [(b, pnav.step(p, b), x_walk(x, (b,))) for b in pnav.bits(p)]
+        return steps_of[(p, x)]
+
+    def windowless_kids(pair):
+        return [(p, x) for _, p, x in pair_steps(*pair) if escape_window(p, x) is None]
+
+    def windowless_cycle(ps, xs):
+        if not (pnav.finite and xnav.finite) or escape_window(ps, xs) is not None:
+            return False
+        return any(
+            len(comp) > 1 or comp[0] in windowless_kids(comp[0])
+            for comp in _components([(ps, xs)], windowless_kids)
+        )
+
+    def refine_pattern(ps, xs):
+        if windowless_cycle(ps, xs):
+            raise WitnessNotFound(None)
+        out = []
+        frontier = [((), ps, xs)]
+        explored = 0
+        while frontier:
+            nxt = []
+            for rel, p, x in frontier:
+                explored += 1
+                if len(rel) > max_search_depth or explored > 50_000:
+                    raise WitnessNotFound(None)
+                window = escape_window(p, x)
+                if window is not None:
+                    out.append((rel, window))
+                else:
+                    for b, p_child, x_child in pair_steps(p, x):
+                        nxt.append((rel + (b,), p_child, x_child))
+            frontier = nxt
+        out.sort()
+        return out
+
+    def class_children(ps, xs):
+        if (ps, xs) not in children_of:
+            out = []
+            for rel, window in refine_pattern(ps, xs):
+                mid_p, mid_gain = walk(pnav, rel, ps)
+                mid_x = x_walk(xs, rel)
+                for wb in windows:
+                    walked = None if wb == window else walk(pnav, wb, mid_p)
+                    if walked is not None:
+                        end_p, wgain = walked
+                        out.append((rel + wb, end_p, x_walk(mid_x, wb), mid_gain + wgain))
+            children_of[(ps, xs)] = out
+        return children_of[(ps, xs)]
+
+    p0, x0 = pnav.initial, xnav.initial
+    cover = {(p0, x0, 0): [1, BinWord(())]}
+    totals = []
+
+    def cover_bound(cov):
+        return sum((Fraction(cnt, 2**lvl) for (_, _, lvl), (cnt, _) in cov.items()), Fraction(0))
+
+    log = [f"round 0: cover 1 bound {format_rational(cover_bound(cover))}"]
+    for r in range(rounds):
+        new_cover = {}
+        for (ps, xs, lvl), (cnt, rep) in sorted(cover.items(), key=lambda item: str(item[1][1])):
+            try:
+                kids = class_children(ps, xs)
+            except WitnessNotFound:
+                raise WitnessNotFound(rep) from None
+            for suffix, end_p, end_x, gain in kids:
+                key = (end_p, end_x, lvl + gain)
+                rep_word = BinWord(rep.bits + suffix)
+                if key not in new_cover:
+                    new_cover[key] = [cnt, rep_word]
+                else:
+                    new_cover[key][0] += cnt
+                    new_cover[key][1] = min(new_cover[key][1], rep_word)
+        cover = new_cover
+        totals.append(sum(cnt for cnt, _ in cover.values()))
+        log.append(f"round {r + 1}: cover {totals[-1]} bound {format_rational(cover_bound(cover))}")
+    bound = cover_bound(cover)
+    ceiling = Fraction(2**k - 1, 2**k) ** rounds
+    if bound > ceiling:
+        raise IntegrityError(
+            f"refined bound {format_rational(bound)} exceeds "
+            f"((2^k-1)/2^k)^m = {format_rational(ceiling)}"
+        )
+    levels = {}
+    for (_, _, lvl), (cnt, _) in cover.items():
+        levels[lvl] = levels.get(lvl, 0) + cnt
+    nodes = None
+    if all(total <= node_cap for total in totals):
+        explicit = [((), p0, x0, 0)]
+        for _ in range(rounds):
+            explicit = [
+                (word + suffix, end_p, end_x, lvl + gain)
+                for word, ps, xs, lvl in explicit
+                for suffix, end_p, end_x, gain in class_children(ps, xs)
+            ]
+        nodes = tuple(sorted((BinWord(word), lvl) for word, _, _, lvl in explicit))
+    return BoundCertificate(rounds, k, nodes, tuple(sorted(levels.items())), bound,
+                            tuple(log), to_dsl(P), to_dsl(X))
+
+
+def _random_lemma1_tree(rng, depth=0):
+    roll = rng.random()
+    if roll < 0.15:
+        d = rng.randint(2, 6)
+        frontier = {tuple(rng.randint(0, 1) for _ in range(d)) for _ in range(rng.randint(1, 12))}
+        return ExplicitTree(d, frozenset(BinWord(w) for w in frontier))
+    if roll < 0.2:
+        return BST
+    if roll < 0.25:
+        return FULL
+    if roll < 0.45 or depth == 2:
+        k = rng.choice((1, 2, 3))
+        return BlockTree(k, frozenset(rng.sample(list(all_words(k)), rng.randint(1, 2**k))))
+    if roll < 0.6:
+        period = tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 3))) + (-1,)
+        return SilverTree(tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 2))), period)
+    if roll < 0.8:
+        return product(_random_lemma1_tree(rng, depth + 1), _random_lemma1_tree(rng, depth + 1))
+    base = _random_lemma1_tree(rng, depth + 1)
+    return Subtree(base, rng.choice(list(node_words(base, 2))))
+
+
+def _outcome(refine, P, X, k, rounds, node_cap):
+    try:
+        cert = refine(P, X, k, rounds, node_cap=node_cap)
+    except CantorMeasureError as exc:
+        return type(exc).__name__, str(exc)
+    return cert.serialize(), cert.replay_log
+
+
+def test_lemma1_matches_per_pattern_reference():
+    # on explicit trees the order of the walks decides whether a query
+    # fails past the horizon or without a witness, so both must occur
+    rng = random.Random(1998)
+    kinds = set()
+    for _ in range(600):
+        P, X = _random_lemma1_tree(rng), _random_lemma1_tree(rng)
+        if rng.random() < 0.2:
+            X = Subtree(P, rng.choice(list(node_words(P, 2))))
+        k, rounds, cap = rng.randint(1, 3), rng.randint(0, 3), rng.choice((3, 20000))
+        got = _outcome(lemma1_refine, P, X, k, rounds, cap)
+        assert got == _outcome(_reference_lemma1, P, X, k, rounds, cap), (P, X, k, rounds, cap)
+        kinds.add(got[0] if got[0] in ("HorizonExceeded", "WitnessNotFound") else "certificate")
+    assert kinds == {"HorizonExceeded", "WitnessNotFound", "certificate"}
 
 
 def test_lemma1_silver_tree_traced():

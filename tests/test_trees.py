@@ -25,6 +25,7 @@ from cantormeasure.trees import (
     FullTree,
     SilverTree,
     StaircaseTree,
+    StemNavigator,
     Subtree,
     TableNavigator,
     TreePresentation,
@@ -188,6 +189,9 @@ def test_validate_explicit_depth_qualified():
     thin = ExplicitTree(2, frozenset(parse_words(["00"])))
     report = validate(thin)
     assert report.pruned and not report.perfect
+    # witnesses at two depths come in lexicographic order, not shortest first
+    tree = ExplicitTree(3, frozenset(parse_words(["000", "010", "011", "100"])))
+    assert validate(tree) == ValidationReport(True, False, parse_words(["00", "1", "10"]), 3)
 
 
 def test_staircase_one_split_per_depth():
@@ -213,10 +217,12 @@ def test_validate_subtree_of_staircase_and_unknown_navigators():
     assert validate(Subtree(uneven, BinWord((1,)))) == (
         ValidationReport(True, False, parse_words(["", "1"]), exact_to=2)
     )
-    # a product with the staircase has no exact check: a typed error, not
-    # an answer
+    # a product with the staircase or an explicit tree has no exact check:
+    # a typed error, not an answer
     with pytest.raises(UnsupportedPresentation):
         validate(product(StaircaseTree(), E))
+    with pytest.raises(UnsupportedPresentation):
+        validate(product(E, explicit))
 
 
 def _scan_validate(nav):
@@ -293,6 +299,46 @@ def test_validate_matches_fixpoint_scan():
         assert report == _scan_validate(tree.navigator()), tree
         kinds.add((report.pruned, report.perfect))
     assert kinds == {(False, False), (True, False), (True, True)}
+
+
+def _trie_validate(nav):
+    """Reference: the prefix scan that once checked explicit trees, over
+    the trie's nodes comparable with every stem above it."""
+    stems = []
+    while isinstance(nav, StemNavigator):
+        stems.append(nav.stem)
+        nav = nav.base
+    depth = nav.depth
+    node_set = {t for t in nav._nodes if all(t[: len(s)] == s[: len(t)] for s in stems)}
+    nodes = sorted(node_set, key=lambda t: (len(t), t))
+    dead = [t for t in nodes if len(t) < depth and not any(t + (b,) in node_set for b in (0, 1))]
+    if dead:
+        return ValidationReport(False, False, tuple(BinWord(t) for t in dead), exact_to=depth)
+    splits = {t for t in nodes if len(t) < depth and all(t + (b,) in node_set for b in (0, 1))}
+    bad = [t for t in nodes if len(t) < depth and not any(s[: len(t)] == t for s in splits)]
+    if bad:
+        return ValidationReport(True, False, tuple(BinWord(t) for t in bad), exact_to=depth)
+    return ValidationReport(True, True, exact_to=depth)
+
+
+def test_validate_explicit_matches_prefix_scan():
+    rng = random.Random(1971)
+    kinds = set()
+    for _ in range(600):
+        depth = rng.randint(0, 6)
+        frontier = [tuple(rng.randint(0, 1) for _ in range(depth)) for _ in range(rng.randint(1, 12))]
+        tree, longest = ExplicitTree(depth, frozenset(BinWord(w) for w in frontier)), ()
+        for _ in range(rng.randint(0, 2)):
+            # a stem's root is a node of the tree below it
+            w = rng.choice([w for w in frontier if w[: len(longest)] == longest])
+            root = w[: rng.randint(0, depth)]
+            tree, longest = Subtree(tree, BinWord(root)), max(root, longest, key=len)
+        report, expected = validate(tree), _trie_validate(tree.navigator())
+        assert report == ValidationReport(
+            expected.pruned, expected.perfect, tuple(sorted(expected.witnesses)), expected.exact_to
+        ), tree
+        kinds.add(report.perfect)
+    assert kinds == {False, True}
 
 
 def test_staircase_every_branch_splits_again():
