@@ -27,17 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import constructions, measure, splits, trees
-from .errors import (
-    CantorMeasureError,
-    CapExceeded,
-    HorizonExceeded,
-    IntegrityError,
-    NotANode,
-    ParseError,
-    PresentationError,
-    UnsupportedPresentation,
-    WitnessNotFound,
-)
+from .errors import CantorMeasureError, ParseError, PresentationError
 from .trees import TreePresentation
 from .words import BinWord
 
@@ -267,24 +257,13 @@ def render_query(q: Query) -> str:
 
 def render_script(script: Script) -> str:
     """Canonical text form; reparsing yields an identical structure."""
-    lines = [f"tree {name} = {trees.to_dsl(tree)}" for name, tree in script.declarations]
+    lines = [f"tree {name} = {tree}" for name, tree in script.declarations]
     lines.extend(render_query(q) for q in script.queries)
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Execution
-
-
-_ERROR_KINDS = (
-    (HorizonExceeded, "horizon"),
-    (NotANode, "not-a-node"),
-    (WitnessNotFound, "witness-not-found"),
-    (UnsupportedPresentation, "unsupported"),
-    (CapExceeded, "cap"),
-    (IntegrityError, "integrity"),
-    (PresentationError, "presentation"),
-)
 
 
 def _run_query(
@@ -301,10 +280,7 @@ def _run_query(
         lines, cert = spec.runner(clamp, *values)
         return True, lines, cert
     except CantorMeasureError as exc:
-        for cls, kind in _ERROR_KINDS:
-            if isinstance(exc, cls):
-                return False, [f"! error({kind}): {exc}"], None
-        return False, [f"! error(other): {exc}"], None
+        return False, [f"! error({exc.kind}): {exc}"], None
 
 
 def run(script: Script, max_depth: Optional[int] = None) -> Report:

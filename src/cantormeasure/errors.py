@@ -6,21 +6,31 @@ from __future__ import annotations
 class CantorMeasureError(Exception):
     """Base class for all domain errors."""
 
+    kind = "other"
+
 
 class PresentationError(CantorMeasureError):
     """A tree presentation violates a construction invariant."""
+
+    kind = "presentation"
 
 
 class NotANode(CantorMeasureError):
     """The queried word is not a node of the tree."""
 
+    kind = "not-a-node"
+
 
 class HorizonExceeded(CantorMeasureError):
     """A query needs information past the horizon of a finite presentation."""
 
+    kind = "horizon"
+
 
 class UnsupportedPresentation(CantorMeasureError):
     """The operation needs a finite-state presentation and got something else."""
+
+    kind = "unsupported"
 
 
 class WitnessNotFound(CantorMeasureError):
@@ -30,6 +40,8 @@ class WitnessNotFound(CantorMeasureError):
     the refinement dichotomy.
     """
 
+    kind = "witness-not-found"
+
     def __init__(self, node, message: str = ""):
         self.node = node
         super().__init__(message or f"no escape window below {node}")
@@ -38,9 +50,13 @@ class WitnessNotFound(CantorMeasureError):
 class CapExceeded(CantorMeasureError):
     """A configured growth cap was hit before the computation finished."""
 
+    kind = "cap"
+
 
 class IntegrityError(CantorMeasureError):
     """Two independent computation paths disagreed; indicates a bug."""
+
+    kind = "integrity"
 
 
 class ParseError(CantorMeasureError):

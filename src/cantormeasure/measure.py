@@ -25,20 +25,7 @@ from .errors import (
     UnsupportedPresentation,
     WitnessNotFound,
 )
-from .trees import (
-    BlockTree,
-    ExplicitTree,
-    Navigator,
-    ProductTree,
-    SilverTree,
-    StaircaseTree,
-    Subtree,
-    TreePresentation,
-    ancestors,
-    to_dsl,
-    product as tree_product,
-    walk,
-)
+from .trees import Navigator, TreePresentation, ancestors, product as tree_product, walk
 from .words import EMPTY, BinWord, NatWord, all_words, deinterleave
 
 Rational = Fraction
@@ -141,25 +128,9 @@ def trace_upper(P: TreePresentation, X: TreePresentation, depth: int) -> TraceRe
     return TraceResult(None, tuple(_hull_masses(P, X, depth)), "depth-bounded")
 
 
-def _period_hint(P: TreePresentation) -> int:
-    if isinstance(P, BlockTree):
-        return P.k
-    if isinstance(P, SilverTree):
-        return len(P.prefix) + len(P.period)
-    if isinstance(P, ProductTree):
-        return 2 * (math.lcm(_period_hint(P.left), _period_hint(P.right)))
-    if isinstance(P, Subtree):
-        return _period_hint(P.base) + len(P.root)
-    if isinstance(P, ExplicitTree):
-        return P.depth
-    if isinstance(P, StaircaseTree):
-        return 4
-    return 1
-
-
 def default_trace_depth(P: TreePresentation, X: TreePresentation) -> int:
     """Enough rounds of the joint period to expose geometric decay."""
-    return min(60, max(24, 3 * math.lcm(_period_hint(P), _period_hint(X))))
+    return min(60, max(24, 3 * math.lcm(P.period_hint(), X.period_hint())))
 
 
 def trace_exact(P: TreePresentation, X: TreePresentation) -> TraceResult:
@@ -547,6 +518,6 @@ def lemma1_refine(
         cover_levels=tuple(sorted(levels.items())),
         bound=bound,
         replay_log=tuple(log),
-        tree=to_dsl(P),
-        trace_of=to_dsl(X),
+        tree=str(P),
+        trace_of=str(X),
     )

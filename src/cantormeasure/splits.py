@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import NotANode, PresentationError
-from .trees import Navigator, TreePresentation, TrieNavigator, below_stems, walk
+from .trees import Navigator, TreePresentation, walk
 from .words import EMPTY, BinWord
 
 _FORCED_WALK_CAP = 100_000
@@ -165,9 +165,8 @@ def _classify_finite(nav: Navigator, budget: int) -> Classification:
 
 
 def _classify_enumerated(nav: Navigator, depth: int) -> Classification:
-    base = below_stems(nav)
-    if isinstance(base, TrieNavigator):
-        depth = min(depth, base.depth)
+    if nav.horizon is not None:
+        depth = min(depth, nav.horizon)
     level_nodes: List[List[Tuple[object, int]]] = [[(nav.initial, 0)]]
     uniform = True
     silver = True

@@ -11,6 +11,7 @@ carry a hard horizon and fail loudly past it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -29,9 +30,13 @@ from .words import EMPTY, BinWord
 
 
 class Navigator:
-    """Transition-structure view of a tree; states are hashable."""
+    """Transition-structure view of a tree; states are hashable.  horizon
+    is the least depth at which bits raises HorizonExceeded (None: never);
+    known_perfect marks a tree pruned and perfect by construction."""
 
     finite = True
+    horizon: Optional[int] = None
+    known_perfect = False
     initial: object
 
     def bits(self, state) -> Tuple[int, ...]:
@@ -74,14 +79,14 @@ class TrieNavigator(Navigator):
     finite = False
 
     def __init__(self, depth: int, nodes: FrozenSet[Tuple[int, ...]]):
-        self.depth = depth
+        self.horizon = depth
         self._nodes = nodes
         self.initial = ()
 
     def bits(self, state) -> Tuple[int, ...]:
-        if len(state) >= self.depth:
+        if len(state) >= self.horizon:
             raise HorizonExceeded(
-                f"explicit tree of depth {self.depth} queried past its horizon"
+                f"explicit tree of depth {self.horizon} queried past its horizon"
             )
         return tuple(b for b in (0, 1) if state + (b,) in self._nodes)
 
@@ -97,6 +102,9 @@ class ProductNavigator(Navigator):
         self.left = left
         self.right = right
         self.finite = left.finite and right.finite
+        # the left tree feeds depths 0, 2, 4, ..., the right 1, 3, 5, ...
+        ends = [2 * h + i for i, h in enumerate((left.horizon, right.horizon)) if h is not None]
+        self.horizon = min(ends, default=None)
         self.initial = (left.initial, right.initial, 0)
 
     def bits(self, state) -> Tuple[int, ...]:
@@ -119,7 +127,9 @@ class StemNavigator(Navigator):
         self.stem = stem
         self.base = base
         self._base_state = base_state
-        self.finite = base.finite
+        # a stem keeps the base's nodes comparable with it, at their own depths
+        self.finite, self.horizon = base.finite, base.horizon
+        self.known_perfect = base.known_perfect
         self.initial = ("stem", 0) if stem else ("base", base_state)
 
     def bits(self, state) -> Tuple[int, ...]:
@@ -145,7 +155,8 @@ class StemNavigator(Navigator):
 
 
 class TreePresentation:
-    """Base class for tree presentations; immutable after validation."""
+    """Base class for tree presentations; immutable after validation.
+    str() gives the DSL text."""
 
     def navigator(self) -> Navigator:
         nav = getattr(self, "_nav", None)
@@ -157,11 +168,21 @@ class TreePresentation:
     def _compile(self) -> Navigator:
         raise NotImplementedError
 
+    def __str__(self) -> str:
+        raise PresentationError(f"no DSL form for {type(self).__name__}")
+
+    def period_hint(self) -> int:
+        """A period of the tree's shape, for sizing trace depths."""
+        return 1
+
 
 @dataclass(frozen=True)
 class FullTree(TreePresentation):
     def _compile(self) -> Navigator:
         return TableNavigator(0, {0: {0: 0, 1: 0}})
+
+    def __str__(self) -> str:
+        return "full"
 
 
 @dataclass(frozen=True)
@@ -183,6 +204,12 @@ class ExplicitTree(TreePresentation):
             for n in range(self.depth + 1):
                 nodes.add(w.bits[:n])
         return TrieNavigator(self.depth, frozenset(nodes))
+
+    def __str__(self) -> str:
+        return "words{" + " ".join(map(str, sorted(self.frontier))) + "}"
+
+    def period_hint(self) -> int:
+        return self.depth
 
 
 @dataclass(frozen=True)
@@ -217,6 +244,12 @@ class BlockTree(TreePresentation):
             trans[p] = row
         return TableNavigator((), trans)
 
+    def __str__(self) -> str:
+        return f"blocks({self.k}){{{' '.join(map(str, sorted(self.blocks)))}}}"
+
+    def period_hint(self) -> int:
+        return self.k
+
 
 @dataclass(frozen=True)
 class SilverTree(TreePresentation):
@@ -245,6 +278,13 @@ class SilverTree(TreePresentation):
     def _compile(self) -> Navigator:
         return _silver_navigator(self.prefix, self.period)
 
+    def __str__(self) -> str:
+        pre, per = (" ".join(map(str, entries)) for entries in (self.prefix, self.period))
+        return f"silver[{pre}]repeat[{per}]"
+
+    def period_hint(self) -> int:
+        return len(self.prefix) + len(self.period)
+
 
 def _silver_navigator(prefix: Tuple[int, ...], period: Tuple[int, ...]) -> Navigator:
     entries = prefix + period
@@ -268,6 +308,7 @@ class StaircaseNavigator(Navigator):
     """
 
     finite = False
+    known_perfect = True  # by the rotating split
 
     def __init__(self) -> None:
         self.initial = ()
@@ -310,6 +351,12 @@ class StaircaseTree(TreePresentation):
     def _compile(self) -> Navigator:
         return StaircaseNavigator()
 
+    def __str__(self) -> str:
+        return "staircase"
+
+    def period_hint(self) -> int:
+        return 4
+
 
 @dataclass(frozen=True)
 class ProductTree(TreePresentation):
@@ -318,6 +365,12 @@ class ProductTree(TreePresentation):
 
     def _compile(self) -> Navigator:
         return ProductNavigator(self.left.navigator(), self.right.navigator())
+
+    def __str__(self) -> str:
+        return f"product({self.left},{self.right})"
+
+    def period_hint(self) -> int:
+        return 2 * math.lcm(self.left.period_hint(), self.right.period_hint())
 
 
 @dataclass(frozen=True)
@@ -339,6 +392,12 @@ class Subtree(TreePresentation):
     def _compile(self) -> Navigator:
         nav = self.base.navigator()
         return StemNavigator(self.root.bits, nav, walk(nav, self.root.bits, nav.initial)[0])
+
+    def __str__(self) -> str:
+        return f"subtree({self.base},{self.root})"
+
+    def period_hint(self) -> int:
+        return self.base.period_hint() + len(self.root)
 
 
 # ---------------------------------------------------------------------------
@@ -400,29 +459,19 @@ class ValidationReport:
             raise PresentationError("perfect implies pruned")
 
 
-def below_stems(nav: Navigator) -> Navigator:
-    """The navigator under any stems: a stem keeps the nodes of its base
-    comparable with it, so the base's horizon and construction hold."""
-    while isinstance(nav, StemNavigator):
-        nav = nav.base
-    return nav
-
-
 def validate(P: TreePresentation) -> ValidationReport:
     """Prunedness and perfection by one breadth-first search over the
     navigator's states; witnesses are the shortest words of the failing
     states, in lexicographic order.  Exact for finite-state presentations;
-    explicit trees and stems over them are checked up to their horizon,
-    the trie's depth, which is exact_to: states there are recorded but
-    neither expanded nor checked."""
+    one with a horizon is checked up to it, which is exact_to: states
+    there are recorded but neither expanded nor checked (a horizon comes
+    from a trie, whose states are node words, so a state fixes its depth)."""
     nav = P.navigator()
-    base = below_stems(nav)
-    if isinstance(base, StaircaseNavigator):
-        # pruned and perfect by its rotating-split construction
+    if nav.known_perfect:
         return ValidationReport(pruned=True, perfect=True)
-    horizon = base.depth if isinstance(base, TrieNavigator) else None
+    horizon = nav.horizon
     if not nav.finite and horizon is None:
-        raise UnsupportedPresentation(f"no exact validation for {to_dsl(P)}")
+        raise UnsupportedPresentation(f"no exact validation for {P}")
     # every state's shortest word (as bits) and its parents; inner holds
     # the states short of the horizon, breadth-first, and grows while read
     shortest = {nav.initial: ()}
@@ -512,25 +561,7 @@ def _silver_component(S: SilverTree, par: int, horizon: int) -> TreePresentation
 
 def to_dsl(P: TreePresentation) -> str:
     """Canonical DSL expression for a presentation."""
-    if isinstance(P, FullTree):
-        return "full"
-    if isinstance(P, StaircaseTree):
-        return "staircase"
-    if isinstance(P, ExplicitTree):
-        ws = " ".join(str(w) for w in sorted(P.frontier))
-        return "words{" + ws + "}"
-    if isinstance(P, BlockTree):
-        bs = " ".join(str(b) for b in sorted(P.blocks))
-        return f"blocks({P.k}){{{bs}}}"
-    if isinstance(P, SilverTree):
-        pre = " ".join(str(a) for a in P.prefix)
-        per = " ".join(str(a) for a in P.period)
-        return f"silver[{pre}]repeat[{per}]"
-    if isinstance(P, ProductTree):
-        return f"product({to_dsl(P.left)},{to_dsl(P.right)})"
-    if isinstance(P, Subtree):
-        return f"subtree({to_dsl(P.base)},{P.root})"
-    raise PresentationError(f"no DSL form for {type(P).__name__}")
+    return str(P)
 
 
 _SYMBOLS = "{}[](),"

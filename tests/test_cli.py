@@ -147,11 +147,37 @@ def test_classify_stops_at_the_horizon_below_a_stem():
     report = run(parse(
         "tree T = words{00 01 10 11}\n"
         "tree A = subtree(T,0)\n"
+        "tree B = product(T,FULL)\n"
         "query classify T depth 5\n"
         "query classify A depth 5\n"
+        "query classify B depth 5\n"
     ))
     assert "error" not in report.text
     assert report.text.count("up-to-depth(2)") == 2
+    # in a product T feeds the even depths 0 and 2: the horizon is 4
+    assert report.text.splitlines()[-1] == "= balanced=yes uniform=yes silver=yes up-to-depth(4)"
+
+
+def test_every_report_kind_is_printed():
+    report = run(parse(
+        "tree W = words{00 11}\n"
+        "tree N = blocks(2){00}\n"
+        "query measure W cylinder 000\n"
+        "query lemma1 FULL in FULL k 2 rounds 1\n"
+        "query trace-exact BST in E\n"
+        "query lusin stages 9\n"
+        "query classify N depth 8\n"
+    ))
+    assert [line for line in report.text.splitlines() if line.startswith("!")] == [
+        "! error(horizon): explicit tree of depth 2 queried past its horizon",
+        "! error(witness-not-found): no escape window below ε",
+        "! error(unsupported): trace_exact needs finite-state presentations on both sides",
+        "! error(cap): stage 9 would have 574864 nodes (cap 100000)",
+        "! error(presentation): no branching point below a node; tree not perfect",
+    ]
+    assert report.exit_code == 3
+    # a domain error without a kind of its own reports the base class's
+    assert ParseError("bad", 1).kind == "other"
 
 
 def test_negative_max_depth_is_rejected(tmp_path, capsys):

@@ -48,6 +48,7 @@ from cantormeasure.trees import (
     children,
     frontier_words,
     node_words,
+    parse_tree_expr,
     product,
     to_dsl,
     walk,
@@ -142,6 +143,25 @@ def test_trace_upper_decreasing_everywhere():
     for P, X in [(E, U), (U, E), (Q, E), (E, BST), (U, BST)]:
         bounds = trace_upper(P, X, 16).upper_bounds
         assert all(b <= a for a, b in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize(
+    "P, X, depth",
+    [
+        ("full", "full", 24),
+        ("staircase", "blocks(3){000 111}", 36),
+        ("words{00000 11111}", "blocks(3){000 111}", 45),
+        ("blocks(3){000 111}", "words{000000000}", 27),
+        ("silver[0 -1]repeat[1 -1 -1]", "blocks(2){00 11}", 30),
+        ("product(blocks(2){00 11},silver[]repeat[-1])", "blocks(3){000 111}", 36),
+        ("product(product(full,full),full)", "blocks(5){00000 11111}", 60),
+        ("product(blocks(3){000 111},words{00000})", "full", 60),
+        ("subtree(blocks(3){000 111},0)", "blocks(3){000 111}", 36),
+        ("subtree(product(silver[-1]repeat[-1 0],full),010)", "full", 27),
+    ],
+)
+def test_default_trace_depth_per_presentation_kind(P, X, depth):
+    assert default_trace_depth(parse_tree_expr(P), parse_tree_expr(X)) == depth
 
 
 def test_default_trace_depth_reasonable():
@@ -423,6 +443,15 @@ def test_lemma1_search_caps_bound_acyclic_windowless_pairs():
     assert lemma1_refine(FULL, X, 1, 1).bound == Fraction(1, 2)
     with pytest.raises(WitnessNotFound):
         lemma1_refine(FULL, X, 1, 1, max_search_depth=1)
+
+
+def test_lemma1_search_depth_cap_fires_past_the_stated_depth():
+    # below the root this X only splits: the first window that leaves it
+    # is five bits down, found at search depth 5 and not at 4
+    X = parse_tree_expr("silver[-1 -1 -1 -1 -1]repeat[0 -1]")
+    assert lemma1_refine(FULL, X, 1, 1, max_search_depth=5).bound == Fraction(1, 2)
+    with pytest.raises(WitnessNotFound):
+        lemma1_refine(FULL, X, 1, 1, max_search_depth=4)
 
 
 def _reference_lemma1(P, X, k, rounds, max_search_depth=48, node_cap=20000):

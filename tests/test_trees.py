@@ -19,6 +19,7 @@ from cantormeasure.errors import (
     PresentationError,
     UnsupportedPresentation,
 )
+from cantormeasure.splits import classify
 from cantormeasure.trees import (
     BlockTree,
     ExplicitTree,
@@ -39,6 +40,7 @@ from cantormeasure.trees import (
     silver_split,
     to_dsl,
     validate,
+    walk,
 )
 from cantormeasure.words import EMPTY, BinWord, all_words, parse_words
 
@@ -217,12 +219,15 @@ def test_validate_subtree_of_staircase_and_unknown_navigators():
     assert validate(Subtree(uneven, BinWord((1,)))) == (
         ValidationReport(True, False, parse_words(["", "1"]), exact_to=2)
     )
-    # a product with the staircase or an explicit tree has no exact check:
-    # a typed error, not an answer
+    # a product with the staircase and no horizon has no exact check: a
+    # typed error, not an answer
     with pytest.raises(UnsupportedPresentation):
         validate(product(StaircaseTree(), E))
-    with pytest.raises(UnsupportedPresentation):
-        validate(product(E, explicit))
+    # a product with an explicit tree is checked up to its horizon: the
+    # right side's depth 2 ends at product depth 2 * 2 + 1; below each
+    # witness E's forced bit at depth 4 leaves no split short of depth 5
+    witnesses = parse_words(["0010", "0011", "0110", "0111", "1010", "1011", "1110", "1111"])
+    assert validate(product(E, explicit)) == ValidationReport(True, False, witnesses, exact_to=5)
 
 
 def _scan_validate(nav):
@@ -308,7 +313,7 @@ def _trie_validate(nav):
     while isinstance(nav, StemNavigator):
         stems.append(nav.stem)
         nav = nav.base
-    depth = nav.depth
+    depth = nav.horizon
     node_set = {t for t in nav._nodes if all(t[: len(s)] == s[: len(t)] for s in stems)}
     nodes = sorted(node_set, key=lambda t: (len(t), t))
     dead = [t for t in nodes if len(t) < depth and not any(t + (b,) in node_set for b in (0, 1))]
@@ -339,6 +344,64 @@ def test_validate_explicit_matches_prefix_scan():
         ), tree
         kinds.add(report.perfect)
     assert kinds == {False, True}
+
+
+def _random_horizoned_tree(rng, depth=0):
+    """Products and stems over explicit, block, Silver and full trees."""
+    roll = rng.random()
+    if roll < 0.3 or depth == 2:
+        kind = rng.randrange(4)
+        if kind == 0:
+            n = rng.randint(1, 3)
+            return ExplicitTree(n, frozenset(rng.sample(list(all_words(n)), rng.randint(1, 2**n))))
+        if kind == 1:
+            k = rng.choice((1, 2, 3))
+            return BlockTree(k, frozenset(rng.sample(list(all_words(k)), rng.randint(1, 2**k))))
+        if kind == 2:
+            period = tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 2))) + (-1,)
+            return SilverTree(tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 2))), period)
+        return FullTree()
+    if roll < 0.75:
+        return product(_random_horizoned_tree(rng, depth + 1), _random_horizoned_tree(rng, depth + 1))
+    base = _random_horizoned_tree(rng, depth + 1)
+    h = base.navigator().horizon
+    return Subtree(base, rng.choice(list(node_words(base, 3 if h is None else min(3, h)))))
+
+
+def _node_scan_validate(P, h):
+    """Reference for a pruned tree: the node words short of the horizon h
+    with no split at or below them; one witness per navigator state, its
+    least word."""
+    nodes = set(node_words(P, h))
+    inner = [w for w in nodes if len(w) < h]
+    splits = [w for w in inner if w.append(0) in nodes and w.append(1) in nodes]
+    bad = [w for w in inner if not any(w.is_prefix_of(v) for v in splits)]
+    nav, least = P.navigator(), {}
+    for w in sorted(bad):
+        least.setdefault(walk(nav, w.bits, nav.initial)[0], w)
+    return ValidationReport(True, not bad, tuple(sorted(least.values())), exact_to=h)
+
+
+def test_horizoned_trees_match_node_scan_and_explicit_copy():
+    # a product or stem over an explicit tree is decided up to its horizon,
+    # and up to it classifies like the explicit tree of its frontier
+    rng = random.Random(1916)
+    checked, perfect = 0, set()
+    for _ in range(500):
+        P = _random_horizoned_tree(rng)
+        assert parse_tree_expr(str(P)) == P
+        h = P.navigator().horizon
+        if h is None or h > 9:  # nested products double it; node words grow as 2^h
+            continue
+        # every node of these presentations lies on a branch: all are pruned
+        report = validate(P)
+        assert report == _node_scan_validate(P, h), P
+        copy = ExplicitTree(h, frozenset(frontier_words(P, h)))
+        for d in (h, h + 3):
+            assert classify(P, d) == classify(copy, d), (P, d)
+        checked += 1
+        perfect.add(report.perfect)
+    assert checked >= 150 and perfect == {False, True}, checked
 
 
 def test_staircase_every_branch_splits_again():
