@@ -63,10 +63,6 @@ def builtin_env() -> Dict[str, TreePresentation]:
 # Query kinds
 
 
-def _fmt(q) -> str:
-    return measure.format_rational(q)
-
-
 # Runners take the depth clamp and the query's slot values, tree names
 # resolved, and return (report lines, optional certificate text).  They
 # call through the module attributes (`measure.trace_exact(...)`) so that
@@ -88,7 +84,7 @@ def _classify(clamp, tree, depth):
 
 
 def _measure(clamp, tree, word):
-    return [f"= {_fmt(measure.mu_cylinder(tree, word))}"], None
+    return [f"= {measure.mu_cylinder(tree, word)}"], None
 
 
 def _trace(clamp, x, p, depth):
@@ -96,28 +92,25 @@ def _trace(clamp, x, p, depth):
         depth = measure.default_trace_depth(p, x)
     result = measure.trace_upper(p, x, clamp(depth))
     return [
-        f"= {_fmt(result.upper_bounds[-1])} at depth {len(result.upper_bounds) - 1}",
-        "  bounds " + " ".join(_fmt(b) for b in result.upper_bounds),
+        f"= {result.upper_bounds[-1]} at depth {len(result.upper_bounds) - 1}",
+        "  bounds " + " ".join(map(str, result.upper_bounds)),
     ], None
 
 
 def _trace_exact(clamp, x, p):
-    return [f"= {_fmt(measure.trace_exact(p, x).exact)}"], None
+    return [f"= {measure.trace_exact(p, x).exact}"], None
 
 
 def _lemma1(clamp, x, p, k, rounds):
     c = measure.lemma1_refine(p, x, k, rounds)
     size = sum(cnt for _, cnt in c.cover_levels)
-    return [f"= bound {_fmt(c.bound)} cover {size} rounds {c.rounds}"], c.serialize()
+    return [f"= bound {c.bound} cover {size} rounds {c.rounds}"], c.serialize()
 
 
 def _table1(clamp):
     lines = ["= s w mu fiber"]
     for row in constructions.table1():
-        lines.append(
-            f"  {row.block} {row.projected} {_fmt(row.cylinder_measure)} "
-            f"{_fmt(row.fiber_measure)}"
-        )
+        lines.append(f"  {row.block} {row.projected} {row.cylinder_measure} {row.fiber_measure}")
     return lines, None
 
 
@@ -132,10 +125,10 @@ def _phi(clamp, word):
 def _lusin(clamp, stages):
     lt = constructions.lusin_tree(stages)
     lines = [
-        f"  stage {n}: size {len(lt.stages[n])} removed {_fmt(removed)}"
+        f"  stage {n}: size {len(lt.stages[n])} removed {removed}"
         for n, removed in enumerate(lt.removed_mass)
     ]
-    lines.append(f"= total removed {_fmt(sum(lt.removed_mass))}")
+    lines.append(f"= total removed {sum(lt.removed_mass)}")
     return lines, None
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import CapExceeded, IntegrityError
-from .measure import ZERO, baire_measure, mu_clopen, mu_cylinder
+from .measure import ONE, ZERO, mu_clopen, mu_cylinder
 from .trees import BlockTree, StaircaseTree, TreePresentation
 from .words import BinWord, NatWord, all_words, parse_words, select
 
@@ -177,23 +177,24 @@ def lusin_tree(stages: int, cap: int = 100_000) -> LusinTree:
     2^(n+2) * |T_n| * m([w]).
     """
     levels: List[Tuple[NatWord, ...]] = [(NatWord(),)]
+    masses = [ONE]  # m([w]) for each word of the last stage, in order
     widths: List[Tuple[NatWord, int]] = []
     removed: List[Fraction] = []
     for n in range(stages):
         cur = levels[-1]
-        size = len(cur)
-        nxt: List[NatWord] = []
-        for w in cur:
-            target = 2 ** (n + 2) * size * baire_measure(w)
+        counts: List[int] = []
+        for mass in masses:
+            target = 2 ** (n + 2) * len(cur) * mass
             m_w = 2
             while 2**m_w < target:
                 m_w += 1
-            widths.append((w, m_w))
-            nxt.extend(w.append(j) for j in range(m_w))
-        if len(nxt) > cap:
-            raise CapExceeded(f"stage {n + 1} would have {len(nxt)} nodes (cap {cap})")
-        mass_cur = sum((baire_measure(w) for w in cur), ZERO)
-        mass_nxt = sum((baire_measure(w) for w in nxt), ZERO)
-        removed.append(mass_cur - mass_nxt)
-        levels.append(tuple(nxt))
+            counts.append(m_w)
+        # the cap is checked on the widths, before any word of the stage is built
+        if sum(counts) > cap:
+            raise CapExceeded(f"stage {n + 1} would have {sum(counts)} nodes (cap {cap})")
+        widths.extend(zip(cur, counts))
+        # the children j < m_w of w keep m([w]) (1 - 2^-m_w) of its mass
+        removed.append(sum((mass / 2**m_w for mass, m_w in zip(masses, counts)), ZERO))
+        levels.append(tuple(w.append(j) for w, m_w in zip(cur, counts) for j in range(m_w)))
+        masses = [mass / 2 ** (j + 1) for mass, m_w in zip(masses, counts) for j in range(m_w)]
     return LusinTree(tuple(levels), tuple(widths), tuple(removed))

@@ -28,19 +28,9 @@ from .errors import (
 from .trees import Navigator, TreePresentation, ancestors, product as tree_product, walk
 from .words import EMPTY, BinWord, NatWord, all_words, deinterleave
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +288,7 @@ def product_measure(P: TreePresentation, Q: TreePresentation, v: BinWord) -> Fra
     split = mu_cylinder(P, wp) * mu_cylinder(Q, wq)
     if direct != split:
         raise IntegrityError(
-            f"product measure mismatch at {v}: {format_rational(direct)} vs "
-            f"{format_rational(split)}"
+            f"product measure mismatch at {v}: {direct} vs {split}"
         )
     return direct
 
@@ -342,7 +331,7 @@ class BoundCertificate:
             lines.append("mode levels")
             for lvl, cnt in self.cover_levels:
                 lines.append(f"agg {lvl}:{cnt}")
-        lines.append(f"bound {format_rational(self.bound)}")
+        lines.append(f"bound {self.bound}")
         lines.append("end")
         return "\n".join(lines) + "\n"
 
@@ -464,7 +453,7 @@ def lemma1_refine(
     def cover_bound(cov) -> Fraction:
         return sum((Fraction(cnt, 2**lvl) for (_, _, lvl), (cnt, _) in cov.items()), ZERO)
 
-    log.append(f"round 0: cover 1 bound {format_rational(cover_bound(cover))}")
+    log.append(f"round 0: cover 1 bound {cover_bound(cover)}")
 
     for r in range(rounds):
         new_cover: Dict[Tuple[object, object, int], List] = {}
@@ -487,14 +476,13 @@ def lemma1_refine(
                         entry[1] = rep_word
         cover = new_cover
         totals.append(sum(cnt for cnt, _ in cover.values()))
-        log.append(f"round {r + 1}: cover {totals[-1]} bound {format_rational(cover_bound(cover))}")
+        log.append(f"round {r + 1}: cover {totals[-1]} bound {cover_bound(cover)}")
 
     bound = cover_bound(cover)
     ceiling = Fraction(2**k - 1, 2**k) ** rounds
     if bound > ceiling:
         raise IntegrityError(
-            f"refined bound {format_rational(bound)} exceeds "
-            f"((2^k-1)/2^k)^m = {format_rational(ceiling)}"
+            f"refined bound {bound} exceeds ((2^k-1)/2^k)^m = {ceiling}"
         )
     levels = Counter()
     for (_, _, lvl), (cnt, _) in cover.items():

@@ -1,5 +1,6 @@
-"""Branching-point analysis: split sets, levels, classification, the
-canonical order isomorphism between the full binary tree and the splits.
+"""Branching-point analysis: levels, classification, and the canonical
+order isomorphism between the full binary tree and the splits, whose
+images of the length-i words are the split sets Split_i.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import NotANode, PresentationError
 from .trees import Navigator, TreePresentation, walk
-from .words import EMPTY, BinWord
+from .words import BinWord, all_words
 
 _FORCED_WALK_CAP = 100_000
 
@@ -42,46 +43,19 @@ def level(P: TreePresentation, w: BinWord) -> int:
 
 
 def split_profile(P: TreePresentation, levels: int) -> SplitProfile:
-    """Exact Split_i, s_i, S_i for i < levels.
+    """Exact Split_i, s_i, S_i for i < levels: Split_i is the image of the
+    length-i words under canon_embed, in lexicographic order since the
+    embedding preserves it.  The horizon is S_{levels-1}, the depth the
+    profile looks down to.
 
-    Branches are explored until they have passed the requested number of
-    levels; explicit presentations too shallow to exhibit them raise
-    HorizonExceeded.
+    Explicit presentations too shallow to exhibit the levels raise
+    HorizonExceeded; a tree without enough branching points raises
+    PresentationError.
     """
-    if levels <= 0:
-        return SplitProfile((), (), (), 0)
-    nav = P.navigator()
-    points: List[List[BinWord]] = [[] for _ in range(levels)]
-    frontier: List[Tuple[BinWord, object, int]] = [(EMPTY, nav.initial, 0)]
-    horizon = 0
-    guard = 0
-    while frontier:
-        guard += 1
-        if guard > _FORCED_WALK_CAP:
-            raise PresentationError("split exploration did not terminate; tree not perfect?")
-        nxt: List[Tuple[BinWord, object, int]] = []
-        for w, state, count in frontier:
-            bs = nav.bits(state)
-            split = len(bs) == 2
-            if split:
-                points[count].append(w)
-            child_count = count + (1 if split else 0)
-            if child_count >= levels:
-                continue
-            for b in bs:
-                nxt.append((w.append(b), nav.step(state, b), child_count))
-        if nxt:
-            horizon = max(len(w) for w, _, _ in nxt)
-        frontier = nxt
-    for i, pts in enumerate(points):
-        if not pts:
-            raise PresentationError(f"no branching points on level {i}; tree not perfect")
-    return SplitProfile(
-        split_points=tuple(tuple(sorted(pts)) for pts in points),
-        s=tuple(min(len(w) for w in pts) for pts in points),
-        S=tuple(max(len(w) for w in pts) for pts in points),
-        horizon=horizon,
-    )
+    points = tuple(tuple(canon_embed(P, w) for w in all_words(i)) for i in range(levels))
+    s = tuple(min(map(len, pts)) for pts in points)
+    S = tuple(max(map(len, pts)) for pts in points)
+    return SplitProfile(points, s, S, horizon=S[-1] if S else 0)
 
 
 # ---------------------------------------------------------------------------

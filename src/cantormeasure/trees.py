@@ -2,10 +2,13 @@
 
 Every presentation compiles once into a navigator: a deterministic
 transition structure whose unrolling is the presented tree.  Full,
-block-periodic, Silver, staircase, product and subtree presentations
-compile to finite automata, so membership, prunedness, perfection and all
-measure questions downstream have exact answers.  Explicit presentations
-carry a hard horizon and fail loudly past it.
+explicit, block-periodic and Silver presentations compile to a transition
+table; products and subtrees wrap the navigators of their parts; the
+staircase generates its levels on demand.  Apart from the staircase and
+explicit trees, and what is built on them, every navigator is a finite
+automaton, so membership, prunedness, perfection and all measure questions
+downstream have exact answers.  An explicit tree's table has no rows at
+its depth: that is its horizon, and queries past it fail loudly.
 """
 
 from __future__ import annotations
@@ -61,38 +64,31 @@ def walk(nav: Navigator, bits: Sequence[int], state) -> Optional[Tuple[object, i
 
 
 class TableNavigator(Navigator):
-    def __init__(self, initial, trans: Mapping[object, Mapping[int, object]]):
+    """A transition table.  With a horizon, the rows stop there: a state
+    without a row raises HorizonExceeded in bits and steps nowhere."""
+
+    def __init__(
+        self, initial, trans: Mapping[object, Mapping[int, object]], horizon: Optional[int] = None
+    ):
         self.initial = initial
+        self.horizon = horizon
+        self.finite = horizon is None
         # rows in bit order, so that bits() is the row's keys as they stand
         self._trans = {s: dict(sorted(m.items())) for s, m in trans.items()}
 
     def bits(self, state) -> Tuple[int, ...]:
-        return tuple(self._trans[state])
-
-    def step(self, state, bit: int):
-        return self._trans[state].get(bit)
-
-
-class TrieNavigator(Navigator):
-    """Explicit finite trie; state = node word as a bit tuple."""
-
-    finite = False
-
-    def __init__(self, depth: int, nodes: FrozenSet[Tuple[int, ...]]):
-        self.horizon = depth
-        self._nodes = nodes
-        self.initial = ()
-
-    def bits(self, state) -> Tuple[int, ...]:
-        if len(state) >= self.horizon:
+        try:
+            return tuple(self._trans[state])
+        except KeyError:
             raise HorizonExceeded(
                 f"explicit tree of depth {self.horizon} queried past its horizon"
-            )
-        return tuple(b for b in (0, 1) if state + (b,) in self._nodes)
+            ) from None
 
     def step(self, state, bit: int):
-        t = state + (bit,)
-        return t if t in self._nodes else None
+        try:
+            return self._trans[state].get(bit)
+        except KeyError:
+            return None
 
 
 class ProductNavigator(Navigator):
@@ -199,11 +195,12 @@ class ExplicitTree(TreePresentation):
             )
 
     def _compile(self) -> Navigator:
-        nodes = set()
+        # states are node words as bit tuples; the nodes at the depth get no row
+        trans: Dict[Tuple[int, ...], Dict[int, Tuple[int, ...]]] = {}
         for w in self.frontier:
-            for n in range(self.depth + 1):
-                nodes.add(w.bits[:n])
-        return TrieNavigator(self.depth, frozenset(nodes))
+            for n in range(self.depth):
+                trans.setdefault(w.bits[:n], {})[w.bits[n]] = w.bits[: n + 1]
+        return TableNavigator((), trans, horizon=self.depth)
 
     def __str__(self) -> str:
         return "words{" + " ".join(map(str, sorted(self.frontier))) + "}"
@@ -276,7 +273,13 @@ class SilverTree(TreePresentation):
         return self.period[(n - len(self.prefix)) % len(self.period)]
 
     def _compile(self) -> Navigator:
-        return _silver_navigator(self.prefix, self.period)
+        # state n is the entry index; the last entry loops back into the period
+        entries = self.prefix + self.period
+        trans: Dict[int, Dict[int, int]] = {}
+        for n, a in enumerate(entries):
+            nxt = n + 1 if n + 1 < len(entries) else len(self.prefix)
+            trans[n] = {0: nxt, 1: nxt} if a == -1 else {a: nxt}
+        return TableNavigator(0, trans)
 
     def __str__(self) -> str:
         pre, per = (" ".join(map(str, entries)) for entries in (self.prefix, self.period))
@@ -284,16 +287,6 @@ class SilverTree(TreePresentation):
 
     def period_hint(self) -> int:
         return len(self.prefix) + len(self.period)
-
-
-def _silver_navigator(prefix: Tuple[int, ...], period: Tuple[int, ...]) -> Navigator:
-    entries = prefix + period
-    L = len(prefix)
-    trans: Dict[int, Dict[int, int]] = {}
-    for n, a in enumerate(entries):
-        nxt = n + 1 if n + 1 < len(entries) else L
-        trans[n] = {0: nxt, 1: nxt} if a == -1 else {a: nxt}
-    return TableNavigator(0, trans)
 
 
 class StaircaseNavigator(Navigator):

@@ -98,6 +98,12 @@ def test_run_basic_values():
     assert "= 10100010000000" in report.text
 
 
+def test_rationals_print_as_fractions_do():
+    # lowest terms, and an integer without a denominator
+    report = run(parse("query measure E cylinder 1\nquery trace-exact U in U\n"))
+    assert report.text == "query measure E cylinder 1\n= 1/2\n\nquery trace-exact U in U\n= 1\n"
+
+
 def test_run_lemma1_emits_certificate():
     report = run(parse("query lemma1 U in FULL k 2 rounds 4"))
     assert "bound 81/256" in report.text

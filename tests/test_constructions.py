@@ -24,7 +24,7 @@ from cantormeasure.errors import CapExceeded
 from cantormeasure.measure import baire_measure, mu_cylinder
 from cantormeasure.splits import classify
 from cantormeasure.trees import validate
-from cantormeasure.words import BinWord, all_words, select, xor_sum
+from cantormeasure.words import BinWord, NatWord, all_words, select, xor_sum
 
 W = BinWord.from_str
 
@@ -202,6 +202,22 @@ def test_lusin_tree_mass_bookkeeping():
 def test_lusin_tree_cap():
     with pytest.raises(CapExceeded):
         lusin_tree(10, cap=50)
+
+
+def test_lusin_tree_cap_fires_before_the_stage_is_built(monkeypatch):
+    # stages 0-8 hold 99,146 words; stage 9 would add 574,864
+    built = 0
+    post_init = NatWord.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(NatWord, "__post_init__", counting)
+    with pytest.raises(CapExceeded, match="stage 9 would have 574864 nodes"):
+        lusin_tree(9)
+    assert built < 2 * 100_000
 
 
 def test_table_select_consistency():

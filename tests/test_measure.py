@@ -26,11 +26,9 @@ from cantormeasure.measure import (
     _solve_trace,
     baire_measure,
     default_trace_depth,
-    format_rational,
     lemma1_refine,
     mu_clopen,
     mu_cylinder,
-    parse_rational,
     product_measure,
     trace_exact,
     trace_upper,
@@ -62,13 +60,6 @@ Q = BlockTree(
 U = BlockTree(2, frozenset(parse_words(["00", "11"])))
 FULL = FullTree()
 BST = StaircaseTree()
-
-
-def test_rational_format_round_trip():
-    for q in (Fraction(0), Fraction(1), Fraction(3, 8), Fraction(81, 256)):
-        assert parse_rational(format_rational(q)) == q
-    assert format_rational(Fraction(1)) == "1"
-    assert format_rational(Fraction(1, 2)) == "1/2"
 
 
 def test_cylinder_is_halving_law():
@@ -536,7 +527,7 @@ def _reference_lemma1(P, X, k, rounds, max_search_depth=48, node_cap=20000):
     def cover_bound(cov):
         return sum((Fraction(cnt, 2**lvl) for (_, _, lvl), (cnt, _) in cov.items()), Fraction(0))
 
-    log = [f"round 0: cover 1 bound {format_rational(cover_bound(cover))}"]
+    log = [f"round 0: cover 1 bound {cover_bound(cover)}"]
     for r in range(rounds):
         new_cover = {}
         for (ps, xs, lvl), (cnt, rep) in sorted(cover.items(), key=lambda item: str(item[1][1])):
@@ -554,13 +545,12 @@ def _reference_lemma1(P, X, k, rounds, max_search_depth=48, node_cap=20000):
                     new_cover[key][1] = min(new_cover[key][1], rep_word)
         cover = new_cover
         totals.append(sum(cnt for cnt, _ in cover.values()))
-        log.append(f"round {r + 1}: cover {totals[-1]} bound {format_rational(cover_bound(cover))}")
+        log.append(f"round {r + 1}: cover {totals[-1]} bound {cover_bound(cover)}")
     bound = cover_bound(cover)
     ceiling = Fraction(2**k - 1, 2**k) ** rounds
     if bound > ceiling:
         raise IntegrityError(
-            f"refined bound {format_rational(bound)} exceeds "
-            f"((2^k-1)/2^k)^m = {format_rational(ceiling)}"
+            f"refined bound {bound} exceeds ((2^k-1)/2^k)^m = {ceiling}"
         )
     levels = {}
     for (_, _, lvl), (cnt, _) in cover.items():

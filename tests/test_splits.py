@@ -1,12 +1,14 @@
 """Branching structure: levels, split profiles, classification, embedding."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from cantormeasure.errors import NotANode
+from cantormeasure.constructions import make_named
+from cantormeasure.errors import NotANode, PresentationError
 from cantormeasure.measure import mu_cylinder
-from cantormeasure.splits import canon_embed, classify, level, split_profile
+from cantormeasure.splits import SplitProfile, canon_embed, classify, level, split_profile
 from cantormeasure.trees import (
     BlockTree,
     ExplicitTree,
@@ -14,10 +16,13 @@ from cantormeasure.trees import (
     SilverTree,
     StaircaseNavigator,
     StaircaseTree,
+    Subtree,
     children,
     contains,
     node_words,
+    parse_tree_expr,
     product,
+    validate,
 )
 from cantormeasure.words import EMPTY, BinWord, all_words, parse_words
 
@@ -27,6 +32,7 @@ Q = BlockTree(
 )
 U = BlockTree(2, frozenset(parse_words(["00", "11"])))
 FULL = FullTree()
+BST = StaircaseTree()
 
 
 def oracle_level(tree, w):
@@ -81,6 +87,83 @@ def test_split_profile_staircase():
     # one branching point per depth and splits stay separated
     for i in range(2):
         assert profile.s[i + 1] > profile.S[i]
+
+
+def _bfs_split_profile(P, levels):
+    """Reference: the breadth-first walk that found the split levels before
+    they were read off the canonical embedding; it expands every node until
+    its branch has passed the requested number of levels."""
+    if levels <= 0:
+        return SplitProfile((), (), (), 0)
+    nav = P.navigator()
+    points = [[] for _ in range(levels)]
+    frontier = [(EMPTY, nav.initial, 0)]
+    horizon = 0
+    while frontier:
+        nxt = []
+        for w, state, count in frontier:
+            bs = nav.bits(state)
+            if len(bs) == 2:
+                points[count].append(w)
+                count += 1
+            if count < levels:
+                nxt.extend((w.append(b), nav.step(state, b), count) for b in bs)
+        if nxt:
+            horizon = max(len(w) for w, _, _ in nxt)
+        frontier = nxt
+    return SplitProfile(
+        tuple(tuple(sorted(pts)) for pts in points),
+        tuple(min(map(len, pts)) for pts in points),
+        tuple(max(map(len, pts)) for pts in points),
+        horizon,
+    )
+
+
+def _random_tree(rng, depth=0):
+    roll = rng.random()
+    if roll < 0.4 or depth == 2:
+        if rng.random() < 0.5:
+            k = rng.choice((1, 2, 3, 4))
+            return BlockTree(k, frozenset(rng.sample(list(all_words(k)), rng.randint(1, 2**k))))
+        period = tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 3))) + (-1,)
+        return SilverTree(tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 3))), period)
+    if roll < 0.75:
+        return product(_random_tree(rng, depth + 1), _random_tree(rng, depth + 1))
+    base = _random_tree(rng, depth + 1)
+    return Subtree(base, rng.choice(list(node_words(base, 4))))
+
+
+def test_split_profile_matches_breadth_first_reference():
+    named = [FULL] + [make_named(n).presentation for n in ("E", "Q", "PJ", "U", "BST")]
+    cases = [(tree, levels) for tree in named for levels in range(5)]
+    rng = random.Random(1609)
+    while len(cases) < 2030:
+        if rng.random() < 0.05:
+            tree = Subtree(BST, rng.choice(list(node_words(BST, 6))))
+        else:
+            tree = _random_tree(rng)
+        if validate(tree).perfect:
+            cases.append((tree, rng.randint(0, 4)))
+    for tree, levels in cases:
+        assert split_profile(tree, levels) == _bfs_split_profile(tree, levels), (tree, levels)
+
+
+def test_split_profile_of_a_tree_without_splits_fails(monkeypatch):
+    # the tree is one branch: the walk to its first split must fail, not
+    # grow ever longer words
+    built = 0
+    post_init = BinWord.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        if built > 10_000:
+            raise RuntimeError("more than 10,000 words built")
+        post_init(self)
+
+    monkeypatch.setattr(BinWord, "__post_init__", counting)
+    with pytest.raises(PresentationError):
+        split_profile(parse_tree_expr("blocks(1){0}"), 1)
 
 
 def test_classify_exact_families():

@@ -26,7 +26,6 @@ from cantormeasure.trees import (
     FullTree,
     SilverTree,
     StaircaseTree,
-    StemNavigator,
     Subtree,
     TableNavigator,
     TreePresentation,
@@ -306,15 +305,16 @@ def test_validate_matches_fixpoint_scan():
     assert kinds == {(False, False), (True, False), (True, True)}
 
 
-def _trie_validate(nav):
+def _trie_validate(tree):
     """Reference: the prefix scan that once checked explicit trees, over
-    the trie's nodes comparable with every stem above it."""
+    the prefixes of the frontier words comparable with every stem above."""
     stems = []
-    while isinstance(nav, StemNavigator):
-        stems.append(nav.stem)
-        nav = nav.base
-    depth = nav.horizon
-    node_set = {t for t in nav._nodes if all(t[: len(s)] == s[: len(t)] for s in stems)}
+    while isinstance(tree, Subtree):
+        stems.append(tree.root.bits)
+        tree = tree.base
+    depth = tree.depth
+    prefixes = {w.bits[:n] for w in tree.frontier for n in range(depth + 1)}
+    node_set = {t for t in prefixes if all(t[: len(s)] == s[: len(t)] for s in stems)}
     nodes = sorted(node_set, key=lambda t: (len(t), t))
     dead = [t for t in nodes if len(t) < depth and not any(t + (b,) in node_set for b in (0, 1))]
     if dead:
@@ -338,7 +338,7 @@ def test_validate_explicit_matches_prefix_scan():
             w = rng.choice([w for w in frontier if w[: len(longest)] == longest])
             root = w[: rng.randint(0, depth)]
             tree, longest = Subtree(tree, BinWord(root)), max(root, longest, key=len)
-        report, expected = validate(tree), _trie_validate(tree.navigator())
+        report, expected = validate(tree), _trie_validate(tree)
         assert report == ValidationReport(
             expected.pruned, expected.perfect, tuple(sorted(expected.witnesses)), expected.exact_to
         ), tree
@@ -396,7 +396,15 @@ def test_horizoned_trees_match_node_scan_and_explicit_copy():
         # every node of these presentations lies on a branch: all are pruned
         report = validate(P)
         assert report == _node_scan_validate(P, h), P
-        copy = ExplicitTree(h, frozenset(frontier_words(P, h)))
+        # bits answers short of the horizon (node_words above) and raises at
+        # it, where step leads nowhere
+        nav, frontier = P.navigator(), frontier_words(P, h)
+        for w in frontier:
+            end = walk(nav, w.bits, nav.initial)[0]
+            with pytest.raises(HorizonExceeded):
+                nav.bits(end)
+            assert nav.step(end, 0) is None and nav.step(end, 1) is None
+        copy = ExplicitTree(h, frozenset(frontier))
         for d in (h, h + 3):
             assert classify(P, d) == classify(copy, d), (P, d)
         checked += 1
