@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import CapExceeded, IntegrityError
-from .measure import ONE, ZERO, mu_clopen, mu_cylinder
+from .measure import mu_clopen, mu_cylinder
 from .trees import BlockTree, StaircaseTree, TreePresentation
 from .words import BinWord, NatWord, all_words, parse_words, select
 
@@ -177,24 +177,23 @@ def lusin_tree(stages: int, cap: int = 100_000) -> LusinTree:
     2^(n+2) * |T_n| * m([w]).
     """
     levels: List[Tuple[NatWord, ...]] = [(NatWord(),)]
-    masses = [ONE]  # m([w]) for each word of the last stage, in order
+    exps = [0]  # m([w]) = 2^-e for each word of the last stage, in order
     widths: List[Tuple[NatWord, int]] = []
     removed: List[Fraction] = []
     for n in range(stages):
         cur = levels[-1]
-        counts: List[int] = []
-        for mass in masses:
-            target = 2 ** (n + 2) * len(cur) * mass
-            m_w = 2
-            while 2**m_w < target:
-                m_w += 1
-            counts.append(m_w)
+        # 2^M >= 2^(n+2) |T_n| 2^-e exactly when M >= n + 2 + ceil(log2 |T_n|) - e
+        log_size = (len(cur) - 1).bit_length()
+        counts = [max(2, n + 2 + log_size - e) for e in exps]
         # the cap is checked on the widths, before any word of the stage is built
         if sum(counts) > cap:
             raise CapExceeded(f"stage {n + 1} would have {sum(counts)} nodes (cap {cap})")
         widths.extend(zip(cur, counts))
         # the children j < m_w of w keep m([w]) (1 - 2^-m_w) of its mass
-        removed.append(sum((mass / 2**m_w for mass, m_w in zip(masses, counts)), ZERO))
+        top = max(e + m_w for e, m_w in zip(exps, counts))
+        removed.append(
+            Fraction(sum(2 ** (top - e - m_w) for e, m_w in zip(exps, counts)), 2**top)
+        )
         levels.append(tuple(w.append(j) for w, m_w in zip(cur, counts) for j in range(m_w)))
-        masses = [mass / 2 ** (j + 1) for mass, m_w in zip(masses, counts) for j in range(m_w)]
+        exps = [e + j + 1 for e, m_w in zip(exps, counts) for j in range(m_w)]
     return LusinTree(tuple(levels), tuple(widths), tuple(removed))

@@ -9,7 +9,8 @@ arithmetic: value 1 where all of P stays inside X forever (Prob1) and 0
 where no such state is reachable (Prob0).  It then solves the remaining
 states component by component in reverse topological order, by
 back-substitution, and with a dense rational solve only inside a cyclic
-component.
+component.  The exact value is checked against the first hull bounds,
+which are read off the same product table without another navigator walk.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     IntegrityError,
@@ -91,31 +92,39 @@ def _product_step(
     """One step of the (P-state, X-state) product automaton: the weight of
     each child (1/2 at a P-split, else 1), the children that stay inside
     X, and whether some P-child leaves X."""
-    bs = pnav.bits(ps)
-    kids = tuple((pnav.step(ps, b), xnav.step(xs, b)) for b in bs if b in xnav.bits(xs))
+    bs, xbits = pnav.bits(ps), xnav.bits(xs)
+    kids = tuple((pnav.step(ps, b), xnav.step(xs, b)) for b in bs if b in xbits)
     return (HALF if len(bs) == 2 else ONE), kids, len(kids) < len(bs)
 
 
-def _hull_masses(P: TreePresentation, X: TreePresentation, depth: int) -> List[Fraction]:
-    """Mass of the depth-d clopen hull of X within P for d = 0..depth."""
-    pnav, xnav = P.navigator(), X.navigator()
-    dist: Dict[ProductState, Fraction] = {(pnav.initial, xnav.initial): ONE}
+def _hull_masses(
+    step_of: Callable[[ProductState], Step], start: ProductState, depth: int
+) -> List[Fraction]:
+    """Mass of the depth-d clopen hull of X within P for d = 0..depth, from
+    the product step of each state.  A state's mass at depth d is kept as
+    an integer numerator over 2^d: a child gets the numerator at a P-split
+    (weight 1/2) and twice it elsewhere."""
+    dist: Dict[ProductState, int] = {start: 1}
     out = [ONE]
-    for _ in range(depth):
-        nxt: Dict[ProductState, Fraction] = {}
-        for (ps, xs), mass in dist.items():
-            w, kids, _ = _product_step(pnav, xnav, ps, xs)
-            share = mass * w
+    for d in range(1, depth + 1):
+        nxt: Dict[ProductState, int] = {}
+        for st, n in dist.items():
+            w, kids, _ = step_of(st)
+            share = 2 * n // w.denominator  # w is 1/2 or 1
             for key in kids:
-                nxt[key] = nxt[key] + share if key in nxt else share
+                nxt[key] = nxt.get(key, 0) + share
         dist = nxt
-        out.append(sum(dist.values(), ZERO))
+        out.append(Fraction(sum(dist.values()), 2**d))
     return out
 
 
 def trace_upper(P: TreePresentation, X: TreePresentation, depth: int) -> TraceResult:
     """Decreasing clopen-hull upper bounds for the measure of X inside P."""
-    return TraceResult(None, tuple(_hull_masses(P, X, depth)), "depth-bounded")
+    pnav, xnav = P.navigator(), X.navigator()
+    masses = _hull_masses(
+        lambda st: _product_step(pnav, xnav, *st), (pnav.initial, xnav.initial), depth
+    )
+    return TraceResult(None, tuple(masses), "depth-bounded")
 
 
 def default_trace_depth(P: TreePresentation, X: TreePresentation) -> int:
@@ -131,7 +140,9 @@ def trace_exact(P: TreePresentation, X: TreePresentation) -> TraceResult:
     of X retain full mass (Prob1, value 1); states that cannot reach them
     have value 0 (Prob0); the rest are solved exactly over the rationals,
     one strongly connected component at a time in reverse topological
-    order (`_solve_trace`).
+    order (`_solve_trace`).  The eight hull bounds that `TraceResult`
+    checks the value against are read off the same table: it holds every
+    state the hull walk reaches.
     """
     pnav, xnav = P.navigator(), X.navigator()
     if not (pnav.finite and xnav.finite):
@@ -149,7 +160,7 @@ def trace_exact(P: TreePresentation, X: TreePresentation) -> TraceResult:
                 seen.add(t)
                 states.append(t)
     result = _solve_trace(states, step)[start]
-    bounds = tuple(_hull_masses(P, X, 8))
+    bounds = tuple(_hull_masses(step.__getitem__, start, 8))
     return TraceResult(result, bounds, "exact-solve")
 
 

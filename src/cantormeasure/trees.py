@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -466,12 +467,15 @@ def validate(P: TreePresentation) -> ValidationReport:
     if not nav.finite and horizon is None:
         raise UnsupportedPresentation(f"no exact validation for {P}")
     # every state's shortest word (as bits) and its parents; inner holds
-    # the states short of the horizon, breadth-first, and grows while read
+    # the states short of the horizon, breadth-first, and grows while read;
+    # rows holds their bits, read once
     shortest = {nav.initial: ()}
     parents: Dict[object, List[object]] = {nav.initial: []}
     inner = [nav.initial] if horizon != 0 else []
+    rows: Dict[object, Tuple[int, ...]] = {}
     for s in inner:
-        for b in nav.bits(s):
+        rows[s] = nav.bits(s)
+        for b in rows[s]:
             t = nav.step(s, b)
             if t not in shortest:
                 word = shortest[t] = shortest[s] + (b,)
@@ -480,10 +484,10 @@ def validate(P: TreePresentation) -> ValidationReport:
                     inner.append(t)
             parents[t].append(s)
     # the failing states: the dead ends, or else those that reach no split
-    bad = [s for s in inner if not nav.bits(s)]
+    bad = [s for s in inner if not rows[s]]
     pruned = not bad
     if pruned:
-        reach = ancestors((s for s in inner if len(nav.bits(s)) == 2), parents)
+        reach = ancestors((s for s in inner if len(rows[s]) == 2), parents)
         bad = [s for s in inner if s not in reach]
     if not bad:
         return ValidationReport(True, True, exact_to=horizon)
@@ -557,27 +561,13 @@ def to_dsl(P: TreePresentation) -> str:
     return str(P)
 
 
-_SYMBOLS = "{}[](),"
+# a symbol, or a run of anything but symbols and whitespace; in a str
+# pattern \s matches exactly the characters for which str.isspace holds
+_TOKEN = re.compile(r"[{}\[\](),]|[^\s{}\[\](),]+")
 
 
 def _tokenize(text: str) -> List[str]:
-    tokens: List[str] = []
-    cur = ""
-    for ch in text:
-        if ch in _SYMBOLS:
-            if cur:
-                tokens.append(cur)
-                cur = ""
-            tokens.append(ch)
-        elif ch.isspace():
-            if cur:
-                tokens.append(cur)
-                cur = ""
-        else:
-            cur += ch
-    if cur:
-        tokens.append(cur)
-    return tokens
+    return _TOKEN.findall(text)
 
 
 class _TokenStream:

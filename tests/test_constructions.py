@@ -199,6 +199,31 @@ def test_lusin_tree_mass_bookkeeping():
         assert before - kept == lt.removed_mass[n]
 
 
+def _reference_lusin(stages):
+    """The stage tree as first written, with Fraction masses: the least
+    width M >= 2 with 2^M >= 2^(n+2) |T_n| m([w]), found by counting up."""
+    levels, masses, widths, removed = [(NatWord(),)], [Fraction(1)], [], []
+    for n in range(stages):
+        cur = levels[-1]
+        counts = []
+        for mass in masses:
+            m_w = 2
+            while 2**m_w < 2 ** (n + 2) * len(cur) * mass:
+                m_w += 1
+            counts.append(m_w)
+        widths.extend(zip(cur, counts))
+        removed.append(sum(mass / 2**m_w for mass, m_w in zip(masses, counts)))
+        levels.append(tuple(w.append(j) for w, m_w in zip(cur, counts) for j in range(m_w)))
+        masses = [mass / 2 ** (j + 1) for mass, m_w in zip(masses, counts) for j in range(m_w)]
+    return tuple(levels), tuple(widths), tuple(removed)
+
+
+def test_lusin_tree_matches_the_fraction_widths():
+    for stages in range(8):
+        lt = lusin_tree(stages)
+        assert (lt.stages, lt.widths, lt.removed_mass) == _reference_lusin(stages), stages
+
+
 def test_lusin_tree_cap():
     with pytest.raises(CapExceeded):
         lusin_tree(10, cap=50)

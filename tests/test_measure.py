@@ -1,6 +1,7 @@
 """Measure engine: cylinder law, traces, refinement certificates."""
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -247,15 +248,29 @@ def _random_tree(rng, depth=0):
     return Subtree(base, rng.choice(list(node_words(base, 3))))
 
 
-def test_trace_exact_matches_dense_solve():
+def _random_pair(rng):
+    """A random finite-state P and X; X is a relative cylinder of P in
+    about a third of the draws, so that traces strictly between 0 and 1
+    come up."""
+    P = _random_tree(rng)
+    X = Subtree(P, rng.choice(list(node_words(P, 4)))) if rng.random() < 0.3 else _random_tree(rng)
+    return P, X
+
+
+def _random_pairs():
+    """150 seeded draws of _random_pair with at most 80 product states,
+    with their product tables."""
     rng = random.Random(2016)
-    kinds = set()
     for _ in range(150):
-        P = _random_tree(rng)
-        X = Subtree(P, rng.choice(list(node_words(P, 4)))) if rng.random() < 0.3 else _random_tree(rng)
+        P, X = _random_pair(rng)
         states, step = _product_table(P, X)
-        if len(states) > 80:
-            continue
+        if len(states) <= 80:
+            yield P, X, states, step
+
+
+def test_trace_exact_matches_dense_solve():
+    kinds = set()
+    for P, X, states, step in _random_pairs():
         dense = _dense_values(states, step)
         assert _solve_trace(states, step) == dense, (P, X)
         value = trace_exact(P, X).exact
@@ -305,6 +320,62 @@ def test_trace_exact_roadmap_cases():
     assert len(_product_table(P, X)[0]) == 7039
     parts = trace_exact(Q, E).exact * trace_exact(Q, Q).exact * trace_exact(FULL, PJ).exact
     assert trace_exact(P, X).exact == parts
+
+
+def _reference_hull_masses(P, X, depth):
+    """The hull masses as first written: a Fraction mass per product state,
+    walked level by level through both navigators."""
+    pnav, xnav = P.navigator(), X.navigator()
+    dist = {(pnav.initial, xnav.initial): Fraction(1)}
+    out = [Fraction(1)]
+    for _ in range(depth):
+        nxt = {}
+        for (ps, xs), mass in dist.items():
+            bs = pnav.bits(ps)
+            share = mass / 2 if len(bs) == 2 else mass
+            for b in bs:
+                if b in xnav.bits(xs):
+                    key = (pnav.step(ps, b), xnav.step(xs, b))
+                    nxt[key] = nxt.get(key, 0) + share
+        dist = nxt
+        out.append(sum(dist.values(), Fraction(0)))
+    return out
+
+
+def test_hull_masses_match_the_fraction_walk():
+    for P, X, _, _ in _random_pairs():
+        reference = _reference_hull_masses(P, X, 30)
+        for d in range(31):
+            assert trace_upper(P, X, d).upper_bounds == tuple(reference[: d + 1]), (P, X, d)
+        assert trace_exact(P, X).upper_bounds == tuple(reference[:9]), (P, X)
+    for P, X in [(E, BST), (U, BST), (BST, E), (BST, Q), (BST, BST), (product(BST, U), E)]:
+        assert trace_upper(P, X, 24).upper_bounds == tuple(_reference_hull_masses(P, X, 24))
+
+
+def test_trace_exact_steps_each_product_state_once(monkeypatch):
+    calls = Counter()
+    original = measure._product_step
+
+    def counting(pnav, xnav, ps, xs):
+        calls[(ps, xs)] += 1
+        return original(pnav, xnav, ps, xs)
+
+    monkeypatch.setattr(measure, "_product_step", counting)
+    PJ = make_named("PJ").presentation
+    pairs = [(Q, E), (Q, PJ), (product(Q, Q), product(PJ, PJ)), (E, Subtree(E, BinWord((0,))))]
+    pairs += [(P, X) for P, X, _, _ in _random_pairs()][:20]
+    for P, X in pairs:
+        calls.clear()
+        trace_exact(P, X)
+        assert calls == Counter(_product_table(P, X)[0]), (P, X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_every_hull_bound_is_at_least_the_exact_trace(rng):
+    P, X = _random_pair(rng)
+    exact = trace_exact(P, X).exact
+    assert all(bound >= exact for bound in trace_upper(P, X, 24).upper_bounds)
 
 
 def test_product_measure_identity():

@@ -30,6 +30,7 @@ from cantormeasure.trees import (
     TableNavigator,
     TreePresentation,
     ValidationReport,
+    _tokenize,
     children,
     contains,
     frontier_words,
@@ -468,6 +469,36 @@ def test_parse_errors():
         parse_tree_expr("words{}")
     with pytest.raises(PresentationError):
         parse_tree_expr("silver[]repeat[0]")
+
+
+def _reference_tokenize(text):
+    """The tokenizer as first written: one character at a time."""
+    tokens, cur = [], ""
+    for ch in text:
+        if ch in "{}[]()," or ch.isspace():
+            if cur:
+                tokens.append(cur)
+                cur = ""
+            if not ch.isspace():
+                tokens.append(ch)
+        else:
+            cur += ch
+    if cur:
+        tokens.append(cur)
+    return tokens
+
+
+def test_tokenize_matches_the_character_loop():
+    rng = random.Random(7)
+    # the \x1c-\x1f separators and the no-break spaces are whitespace to
+    # str.isspace; the last entries are not
+    alphabet = list("{}[](),01ab-_ \t\n\r\x0b\x0c\x1c\x1f\xa0\u2007\u3000\x00\u200b")
+    for _ in range(5000):
+        text = "".join(
+            rng.choice(alphabet) if rng.random() < 0.9 else chr(rng.randrange(0x110000))
+            for _ in range(rng.randrange(16))
+        )
+        assert _tokenize(text) == _reference_tokenize(text), repr(text)
 
 
 @settings(max_examples=40, deadline=None)
