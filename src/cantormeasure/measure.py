@@ -4,13 +4,17 @@ All values are fractions in lowest terms; no floating point appears on any
 measure path.  Cylinder measures follow the halving law at branching
 points; traced measures of one closed set inside another come either as
 decreasing depth-bounded clopen hulls or as an exact solve on the product
-automaton.  The exact solve first settles every state it can without
-arithmetic: value 1 where all of P stays inside X forever (Prob1) and 0
-where no such state is reachable (Prob0).  It then solves the remaining
-states component by component in reverse topological order, by
-back-substitution, and with a dense rational solve only inside a cyclic
-component.  The exact value is checked against the first hull bounds,
-which are read off the same product table without another navigator walk.
+automaton.  Each search over the product numbers the navigator states
+and the (P-state, X-state) pairs it finds 0, 1, 2, ..., reads each
+navigator state's row once, and works on those integer ids from then on;
+the numbering belongs to the one call.  The exact solve first settles
+every state it can without arithmetic: value 1 where all of P stays inside
+X forever (Prob1) and 0 where no such state is reachable (Prob0).  It then
+solves the remaining states component by component in reverse
+topological order, by back-substitution, and with a dense rational solve
+only inside a cyclic component.  The exact value is checked against the
+first hull bounds, which are read off the same product table without
+another navigator walk.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from .certcheck import _MAX_EXPONENT
 from .errors import (
+    CapExceeded,
     IntegrityError,
     UnsupportedPresentation,
     WitnessNotFound,
@@ -83,31 +89,59 @@ class TraceResult:
 
 
 ProductState = Tuple[object, object]
-Step = Tuple[Fraction, Tuple[ProductState, ...], bool]
+Row = Dict[int, int]  # bit -> id of the next state
+Step = Tuple[Fraction, Tuple, bool]  # (weight, children, leaks)
+
+# trace_exact's breadth-first search stops past this many product states.
+# On a 2-core x86-64 VM with Python 3.11 a table of 144,319 states solves
+# in 1.0-1.3 s at a peak RSS of 117 MB, and a search stopped here takes
+# 1.2 s and 108 MB; one of 319,319 states took 2.7 s and 233 MB.
+_MAX_PRODUCT_STATES = 200_000
 
 
-def _product_step(
-    pnav: Navigator, xnav: Navigator, ps, xs
-) -> Step:
-    """One step of the (P-state, X-state) product automaton: the weight of
-    each child (1/2 at a P-split, else 1), the children that stay inside
-    X, and whether some P-child leaves X."""
-    bs, xbits = pnav.bits(ps), xnav.bits(xs)
-    kids = tuple((pnav.step(ps, b), xnav.step(xs, b)) for b in bs if b in xbits)
-    return (HALF if len(bs) == 2 else ONE), kids, len(kids) < len(bs)
+class _Rows(dict):
+    """One search's numbering of a navigator's states, 0, 1, 2, ... as it
+    finds them (0 is the initial state), and the row {bit: next id} of each
+    id, read from the navigator once, when first looked up.  The search
+    drops it when it returns."""
+
+    def __init__(self, nav: Navigator):
+        super().__init__()
+        self.nav = nav
+        self.states = [nav.initial]
+        self.index = {nav.initial: 0}
+
+    def __missing__(self, i: int) -> Row:
+        nav, states, state = self.nav, self.states, self.states[i]
+        row = {}
+        for b in nav.bits(state):
+            t = nav.step(state, b)
+            j = row[b] = self.index.setdefault(t, len(states))
+            if j == len(states):
+                states.append(t)
+        self[i] = row
+        return row
 
 
-def _hull_masses(
-    step_of: Callable[[ProductState], Step], start: ProductState, depth: int
-) -> List[Fraction]:
+def _product_step(prow: _Rows, xrow: _Rows, p: int, x: int) -> Step:
+    """One step of the product automaton from the pair of a P-state id and
+    an X-state id, read off the two navigators' rows: the weight of each
+    child (1/2 at a P-split, else 1), the child pairs that stay inside X,
+    and whether some P-child leaves X."""
+    pr, xr = prow[p], xrow[x]
+    kids = tuple([(pt, xr[b]) for b, pt in pr.items() if b in xr])
+    return (HALF if len(pr) == 2 else ONE), kids, len(kids) < len(pr)
+
+
+def _hull_masses(step_of: Callable[[object], Step], start, depth: int) -> List[Fraction]:
     """Mass of the depth-d clopen hull of X within P for d = 0..depth, from
     the product step of each state.  A state's mass at depth d is kept as
     an integer numerator over 2^d: a child gets the numerator at a P-split
     (weight 1/2) and twice it elsewhere."""
-    dist: Dict[ProductState, int] = {start: 1}
+    dist: Dict[object, int] = {start: 1}
     out = [ONE]
     for d in range(1, depth + 1):
-        nxt: Dict[ProductState, int] = {}
+        nxt: Dict[object, int] = {}
         for st, n in dist.items():
             w, kids, _ = step_of(st)
             share = 2 * n // w.denominator  # w is 1/2 or 1
@@ -120,10 +154,11 @@ def _hull_masses(
 
 def trace_upper(P: TreePresentation, X: TreePresentation, depth: int) -> TraceResult:
     """Decreasing clopen-hull upper bounds for the measure of X inside P."""
+    if depth > _MAX_EXPONENT:
+        raise CapExceeded(f"trace: depth {depth} > {_MAX_EXPONENT}")
     pnav, xnav = P.navigator(), X.navigator()
-    masses = _hull_masses(
-        lambda st: _product_step(pnav, xnav, *st), (pnav.initial, xnav.initial), depth
-    )
+    prow, xrow = _Rows(pnav), _Rows(xnav)
+    masses = _hull_masses(lambda st: _product_step(prow, xrow, *st), (0, 0), depth)
     return TraceResult(None, tuple(masses), "depth-bounded")
 
 
@@ -135,44 +170,51 @@ def default_trace_depth(P: TreePresentation, X: TreePresentation) -> int:
 def trace_exact(P: TreePresentation, X: TreePresentation) -> TraceResult:
     """Exact measure of X inside P by a solve on the product automaton.
 
-    A breadth-first search tabulates every reachable (P-state, X-state)
-    pair once.  States from which every branch of P stays inside the tree
-    of X retain full mass (Prob1, value 1); states that cannot reach them
-    have value 0 (Prob0); the rest are solved exactly over the rationals,
-    one strongly connected component at a time in reverse topological
-    order (`_solve_trace`).  The eight hull bounds that `TraceResult`
-    checks the value against are read off the same table: it holds every
-    state the hull walk reaches.
+    A breadth-first search numbers every reachable (P-state, X-state) pair
+    0, 1, 2, ... as it finds it, reading each navigator state's row once,
+    and tabulates each pair's step over these ids; the numbering is dropped
+    when the call returns.  States from which every branch of P stays
+    inside the tree of X retain full mass (Prob1, value 1); states that
+    cannot reach them have value 0 (Prob0); the rest are solved exactly over
+    the rationals, one strongly connected component at a time in reverse
+    topological order (`_solve_trace`).  The eight hull bounds that
+    `TraceResult` checks the value against are read off the same table from
+    id 0: it holds every state the hull walk reaches.  Raises CapExceeded
+    past _MAX_PRODUCT_STATES pairs.
     """
     pnav, xnav = P.navigator(), X.navigator()
     if not (pnav.finite and xnav.finite):
         raise UnsupportedPresentation(
             "trace_exact needs finite-state presentations on both sides"
         )
-    start = (pnav.initial, xnav.initial)
-    states = [start]
-    seen = {start}
-    step: Dict[ProductState, Step] = {}
+    prow, xrow = _Rows(pnav), _Rows(xnav)
+    states = [(0, 0)]
+    index = {states[0]: 0}
+    table: List[Step] = []
     for st in states:  # breadth-first; the list grows while it is read
-        step[st] = _product_step(pnav, xnav, *st)
-        for t in step[st][1]:
-            if t not in seen:
-                seen.add(t)
+        w, kids, leaks = _product_step(prow, xrow, *st)
+        ids = []
+        for t in kids:
+            j = index.setdefault(t, len(states))
+            if j == len(states):
                 states.append(t)
-    result = _solve_trace(states, step)[start]
-    bounds = tuple(_hull_masses(step.__getitem__, start, 8))
+            ids.append(j)
+        table.append((w, tuple(ids), leaks))
+        if len(states) > _MAX_PRODUCT_STATES:
+            raise CapExceeded(f"trace-exact: product states > {_MAX_PRODUCT_STATES}")
+    result = _solve_trace(table)[0]
+    bounds = tuple(_hull_masses(table.__getitem__, 0, 8))
     return TraceResult(result, bounds, "exact-solve")
 
 
-def _solve_trace(
-    states: List[ProductState], step: Dict[ProductState, Step]
-) -> Dict[ProductState, Fraction]:
-    """The value of every state of a product step table.
+def _solve_trace(table: List[Step]) -> List[Fraction]:
+    """The value of every state of a product step table, by id: row i is
+    (weight, kid ids, leaks) of state i.
 
     The value of a state is its weight times the sum of its children's
     values: the contraction system of the trace.  It is solved by the
     qualitative precomputation of probabilistic model checking, then an
-    exact solve in strongly connected components:
+    exact solve in strongly connected components, all over the ids:
 
     - Prob1: the states from which every branch of P stays inside X
       forever, the greatest fixpoint `full`, have value 1.  They are the
@@ -188,36 +230,42 @@ def _solve_trace(
       component is a dense rational solve of its own rows, with the
       values of its outside children on the right-hand side.
     """
-    parents: Dict[ProductState, List[ProductState]] = {st: [] for st in states}
-    for st in states:
-        for t in step[st][1]:
-            parents[t].append(st)
+    parents: List[List[int]] = [[] for _ in table]
+    for i, (_, kids, _) in enumerate(table):
+        for t in kids:
+            parents[t].append(i)
 
-    full = set(states) - ancestors((st for st in states if step[st][2]), parents)
-    values = {st: ONE if st in full else ZERO for st in states}
-    unsolved = ancestors(full, parents) - full
+    # the states with a path into a leaking one: every state but `full`
+    below_one = ancestors((i for i, (_, _, leaks) in enumerate(table) if leaks), parents)
+    full = [i for i in range(len(table)) if i not in below_one]
+    values = [ZERO] * len(table)
+    for i in full:
+        values[i] = ONE
+    unsolved = ancestors(full, parents) & below_one
     for comp in _components(
-        [st for st in states if st in unsolved],
-        lambda st: [t for t in step[st][1] if t in unsolved],
+        sorted(unsolved), lambda i: [t for t in table[i][1] if t in unsolved]
     ):
-        w, kids, _ = step[comp[0]]
+        w, kids, _ = table[comp[0]]
         if len(comp) == 1 and comp[0] not in kids:
-            values[comp[0]] = w * sum((values[t] for t in kids), ZERO)
+            total = values[kids[0]]
+            for t in kids[1:]:
+                total += values[t]
+            values[comp[0]] = total if w is ONE else w * total
             continue
-        index = {st: j for j, st in enumerate(comp)}
+        index = {i: j for j, i in enumerate(comp)}
         # rows of (I - A) v = c over the component
         matrix = [[ZERO] * len(comp) for _ in comp]
         rhs = [ZERO] * len(comp)
-        for st, j in index.items():
-            w, kids, _ = step[st]
+        for i, j in index.items():
+            w, kids, _ = table[i]
             matrix[j][j] = ONE
             for t in kids:
                 if t in index:
                     matrix[j][index[t]] -= w
                 else:
                     rhs[j] += w * values[t]
-        for st, v in zip(comp, _solve_exact(matrix, rhs)):
-            values[st] = v
+        for i, v in zip(comp, _solve_exact(matrix, rhs)):
+            values[i] = v
     return values
 
 
@@ -347,6 +395,12 @@ class BoundCertificate:
         return "\n".join(lines) + "\n"
 
 
+# lemma1_refine walks all 2^k windows of length k from every pair it
+# meets: `lemma1 U in FULL k 16 rounds 1` takes 0.8 s and 39 MB on a
+# 2-core x86-64 VM with Python 3.11.
+_MAX_WINDOW = 16
+
+
 def lemma1_refine(
     P: TreePresentation,
     X: TreePresentation,
@@ -373,10 +427,16 @@ def lemma1_refine(
     the level counts alone.
 
     Raises WitnessNotFound when a reachable cover node has no escape
-    window within the search depth.
+    window within the search depth, and CapExceeded for k > _MAX_WINDOW
+    or for an exponent of 2 past certcheck's _MAX_EXPONENT: k * rounds, or
+    a cover level.
     """
     if k < 1:
         raise ValueError("window length k must be at least 1")
+    if k > _MAX_WINDOW:
+        raise CapExceeded(f"lemma1: window length {k} > {_MAX_WINDOW}")
+    if k * rounds > _MAX_EXPONENT:
+        raise CapExceeded(f"lemma1: k * rounds = {k * rounds} > {_MAX_EXPONENT}")
     pnav, xnav = P.navigator(), X.navigator()
     windows = [w.bits for w in all_words(k)]
 
@@ -486,6 +546,9 @@ def lemma1_refine(
                     if rep_word < entry[1]:
                         entry[1] = rep_word
         cover = new_cover
+        top = max((lvl for _, _, lvl in cover), default=0)
+        if top > _MAX_EXPONENT:
+            raise CapExceeded(f"lemma1: cover level {top} > {_MAX_EXPONENT}")
         totals.append(sum(cnt for cnt, _ in cover.values()))
         log.append(f"round {r + 1}: cover {totals[-1]} bound {cover_bound(cover)}")
 

@@ -455,43 +455,60 @@ class ValidationReport:
 
 def validate(P: TreePresentation) -> ValidationReport:
     """Prunedness and perfection by one breadth-first search over the
-    navigator's states; witnesses are the shortest words of the failing
-    states, in lexicographic order.  Exact for finite-state presentations;
-    one with a horizon is checked up to it, which is exact_to: states
-    there are recorded but neither expanded nor checked (a horizon comes
-    from a trie, whose states are node words, so a state fixes its depth)."""
+    navigator's states, numbered 0, 1, 2, ... as they are found; witnesses
+    are the shortest words of the failing states, in lexicographic order,
+    rebuilt from the search's back-pointers.  Exact for finite-state
+    presentations; one with a horizon is checked up to it, which is
+    exact_to: states there are recorded but neither expanded nor checked (a
+    horizon comes from a trie, whose states are node words, so a state
+    fixes its depth)."""
     nav = P.navigator()
     if nav.known_perfect:
         return ValidationReport(pruned=True, perfect=True)
     horizon = nav.horizon
     if not nav.finite and horizon is None:
         raise UnsupportedPresentation(f"no exact validation for {P}")
-    # every state's shortest word (as bits) and its parents; inner holds
-    # the states short of the horizon, breadth-first, and grows while read;
-    # rows holds their bits, read once
-    shortest = {nav.initial: ()}
-    parents: Dict[object, List[object]] = {nav.initial: []}
-    inner = [nav.initial] if horizon != 0 else []
-    rows: Dict[object, Tuple[int, ...]] = {}
-    for s in inner:
-        rows[s] = nav.bits(s)
-        for b in rows[s]:
+    # by id: each state, the (parent id, bit) it was first reached by, its
+    # depth and its parents; inner holds the ids short of the horizon,
+    # breadth-first, and grows while read; rows holds their bits, read once
+    states = [nav.initial]
+    index = {nav.initial: 0}
+    back: List[Tuple[int, int]] = [(0, 0)]
+    depth = [0]
+    parents: List[List[int]] = [[]]
+    inner = [0] if horizon != 0 else []
+    rows: Dict[int, Tuple[int, ...]] = {}
+    for i in inner:
+        s = states[i]
+        rows[i] = nav.bits(s)
+        for b in rows[i]:
             t = nav.step(s, b)
-            if t not in shortest:
-                word = shortest[t] = shortest[s] + (b,)
-                parents[t] = []
-                if len(word) != horizon:
-                    inner.append(t)
-            parents[t].append(s)
+            j = index.setdefault(t, len(states))
+            if j == len(states):
+                states.append(t)
+                back.append((i, b))
+                depth.append(depth[i] + 1)
+                parents.append([])
+                if depth[j] != horizon:
+                    inner.append(j)
+            parents[j].append(i)
     # the failing states: the dead ends, or else those that reach no split
-    bad = [s for s in inner if not rows[s]]
+    bad = [i for i in inner if not rows[i]]
     pruned = not bad
     if pruned:
-        reach = ancestors((s for s in inner if len(rows[s]) == 2), parents)
-        bad = [s for s in inner if s not in reach]
+        reach = ancestors((i for i in inner if len(rows[i]) == 2), parents)
+        bad = [i for i in inner if i not in reach]
     if not bad:
         return ValidationReport(True, True, exact_to=horizon)
-    ws = tuple(BinWord(w) for w in sorted(shortest[s] for s in bad))
+
+    def shortest(i: int) -> Tuple[int, ...]:
+        word = []
+        for _ in range(depth[i]):
+            i, b = back[i]
+            word.append(b)
+        return tuple(reversed(word))
+
+    ws = tuple(BinWord(w) for w in sorted(map(shortest, bad)))
     return ValidationReport(pruned, False, ws, exact_to=horizon)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cantormeasure import measure
 from cantormeasure.cli import builtin_env, main, parse, render_script, run
 from cantormeasure.errors import ParseError, PresentationError
 from cantormeasure.trees import BlockTree, FullTree
@@ -184,6 +185,28 @@ def test_every_report_kind_is_printed():
     assert report.exit_code == 3
     # a domain error without a kind of its own reports the base class's
     assert ParseError("bad", 1).kind == "other"
+
+
+def test_caps_are_reported_and_the_script_goes_on(monkeypatch):
+    monkeypatch.setattr(measure, "_MAX_PRODUCT_STATES", 7000)
+    report = run(parse(
+        "tree P = product(product(Q,Q),FULL)\n"
+        "tree X = product(product(E,Q),PJ)\n"
+        "query trace-exact X in P\n"
+        "query lemma1 U in FULL k 17 rounds 1\n"
+        "query trace E in Q depth 20000\n"
+        "query lemma1 U in FULL k 1 rounds 15000\n"
+        "query measure Q cylinder 0111\n"
+    ))
+    assert [line for line in report.text.splitlines() if line.startswith(("!", "="))] == [
+        "! error(cap): trace-exact: product states > 7000",
+        "! error(cap): lemma1: window length 17 > 16",
+        "! error(cap): trace: depth 20000 > 14000",
+        "! error(cap): lemma1: k * rounds = 15000 > 14000",
+        "= 1/4",
+    ]
+    assert report.exit_code == 3
+    assert report.certificates == ()
 
 
 def test_negative_max_depth_is_rejected(tmp_path, capsys):

@@ -14,6 +14,7 @@ from cantormeasure.certcheck import check_certificate
 from cantormeasure.constructions import make_named
 from cantormeasure.errors import (
     CantorMeasureError,
+    CapExceeded,
     IntegrityError,
     UnsupportedPresentation,
     WitnessNotFound,
@@ -22,6 +23,7 @@ from cantormeasure.measure import (
     HALF,
     BoundCertificate,
     _components,
+    _Rows,
     _product_step,
     _solve_exact,
     _solve_trace,
@@ -39,6 +41,7 @@ from cantormeasure.trees import (
     BlockTree,
     ExplicitTree,
     FullTree,
+    Navigator,
     SilverTree,
     StaircaseTree,
     Subtree,
@@ -190,47 +193,50 @@ def test_trace_exact_needs_finite_states():
 
 
 def _product_table(P, X):
-    """The reachable product states in breadth-first order, and their steps."""
-    pnav, xnav = P.navigator(), X.navigator()
-    states = [(pnav.initial, xnav.initial)]
-    seen = set(states)
-    step = {}
+    """The reachable pairs of (P-state id, X-state id) in breadth-first
+    order, and the step of each pair by its own id: (weight, kid ids,
+    leaks)."""
+    prow, xrow = _Rows(P.navigator()), _Rows(X.navigator())
+    states = [(0, 0)]
+    index = {states[0]: 0}
+    table = []
     for st in states:
-        step[st] = _product_step(pnav, xnav, *st)
-        for t in step[st][1]:
-            if t not in seen:
-                seen.add(t)
+        w, kids, leaks = _product_step(prow, xrow, *st)
+        for t in kids:
+            if t not in index:
+                index[t] = len(states)
                 states.append(t)
-    return states, step
+        table.append((w, tuple(index[t] for t in kids), leaks))
+    return states, table
 
 
-def _dense_values(states, step):
+def _dense_values(table):
     """Reference: the greatest fixpoint by repeated scans, then one dense
     solve of the whole system over every state outside it."""
-    full = set(states)
+    full = set(range(len(table)))
     changed = True
     while changed:
         changed = False
-        for st in list(full):
-            _, kids, leaks = step[st]
+        for i in list(full):
+            _, kids, leaks = table[i]
             if leaks or any(t not in full for t in kids):
-                full.discard(st)
+                full.discard(i)
                 changed = True
-    variables = [st for st in states if st not in full]
-    index = {st: j for j, st in enumerate(variables)}
+    variables = [i for i in range(len(table)) if i not in full]
+    index = {i: j for j, i in enumerate(variables)}
     matrix = [[Fraction(0)] * len(variables) for _ in variables]
     rhs = [Fraction(0)] * len(variables)
-    for st in variables:
-        j = index[st]
+    for i in variables:
+        j = index[i]
         matrix[j][j] = Fraction(1)
-        w, kids, _ = step[st]
+        w, kids, _ = table[i]
         for child in kids:
             if child in full:
                 rhs[j] += w
             else:
                 matrix[j][index[child]] -= w
     values = dict(zip(variables, _solve_exact(matrix, rhs)))
-    return {st: values.get(st, Fraction(1)) for st in states}
+    return [values.get(i, Fraction(1)) for i in range(len(table))]
 
 
 def _random_tree(rng, depth=0):
@@ -263,18 +269,18 @@ def _random_pairs():
     rng = random.Random(2016)
     for _ in range(150):
         P, X = _random_pair(rng)
-        states, step = _product_table(P, X)
+        states, table = _product_table(P, X)
         if len(states) <= 80:
-            yield P, X, states, step
+            yield P, X, states, table
 
 
 def test_trace_exact_matches_dense_solve():
     kinds = set()
-    for P, X, states, step in _random_pairs():
-        dense = _dense_values(states, step)
-        assert _solve_trace(states, step) == dense, (P, X)
+    for P, X, _, table in _random_pairs():
+        dense = _dense_values(table)
+        assert _solve_trace(table) == dense, (P, X)
         value = trace_exact(P, X).exact
-        assert value == dense[states[0]]
+        assert value == dense[0]
         kinds.add(value if value in (0, 1) else "between")
     assert kinds == {0, 1, "between"}
 
@@ -292,12 +298,11 @@ class _TableTree(TreePresentation):
 def test_solve_trace_cyclic_component(monkeypatch):
     # X = 0^ω ∪ 0^n 11 {0,1}^ω inside FULL: X-state a reads 0 to a and 1
     # to c, c reads only 1, to f, below which X is full.  value(c) = 1/2,
-    # value(a) = (value(a) + value(c)) / 2 = 1/2.
-    a, c, f = ("p", "a"), ("p", "c"), ("p", "f")
-    step = {a: (HALF, (a, c), False), c: (HALF, (f,), True), f: (HALF, (f, f), False)}
+    # value(a) = (value(a) + value(c)) / 2 = 1/2.  By id: a 0, c 1, f 2.
+    table = [(HALF, (0, 1), False), (HALF, (2,), True), (HALF, (2, 2), False)]
     rows = []
     monkeypatch.setattr(measure, "_solve_exact", lambda m, r: rows.append(len(r)) or _solve_exact(m, r))
-    assert _solve_trace([a, c, f], step) == {a: HALF, c: HALF, f: 1}
+    assert _solve_trace(table) == [HALF, HALF, 1]
     assert rows == [1]  # only the cyclic component {a} goes to the dense solve
 
     # the same X as a navigator, and a two-state cycle: b reads only 0
@@ -368,6 +373,54 @@ def test_trace_exact_steps_each_product_state_once(monkeypatch):
         calls.clear()
         trace_exact(P, X)
         assert calls == Counter(_product_table(P, X)[0]), (P, X)
+
+
+class _CountingNavigator(Navigator):
+    """Another navigator's transitions, counting every read of a state's
+    bits and of each of its steps."""
+
+    def __init__(self, nav):
+        self.nav, self.reads = nav, Counter()
+        self.initial, self.finite, self.horizon = nav.initial, nav.finite, nav.horizon
+
+    def bits(self, state):
+        self.reads[("bits", state)] += 1
+        return self.nav.bits(state)
+
+    def step(self, state, bit):
+        self.reads[("step", state, bit)] += 1
+        return self.nav.step(state, bit)
+
+
+class _Counted(TreePresentation):
+    def __init__(self, tree):
+        self._nav = _CountingNavigator(tree.navigator())
+
+
+def test_trace_exact_reads_each_navigator_row_once():
+    PJ = make_named("PJ").presentation
+    pairs = [(Q, E), (Q, PJ), (product(Q, Q), product(PJ, PJ)), (E, Subtree(E, BinWord((0,))))]
+    pairs += [(P, X) for P, X, _, _ in _random_pairs()][:20]
+    for P, X in pairs:
+        cp, cx = _Counted(P), _Counted(X)
+        assert trace_exact(cp, cx) == trace_exact(P, X)
+        states = _product_table(P, X)[0]
+        for nav, ids in ((cp._nav, {p for p, _ in states}), (cx._nav, {x for _, x in states})):
+            assert max(nav.reads.values()) == 1, (P, X)
+            # a row was read for each state the search reached, and no other
+            read = {key[1] for key in nav.reads if key[0] == "bits"}
+            assert len(read) == len(ids), (P, X)
+            assert {key[1] for key in nav.reads} == read, (P, X)
+
+
+def test_trace_exact_state_cap(monkeypatch):
+    PJ = make_named("PJ").presentation
+    P, X = product(product(Q, Q), FULL), product(product(E, Q), PJ)
+    monkeypatch.setattr(measure, "_MAX_PRODUCT_STATES", 7000)
+    with pytest.raises(CapExceeded, match=r"trace-exact: product states > 7000"):
+        trace_exact(P, X)
+    # a table of 571 states stays under the cap
+    assert trace_exact(product(Q, Q), product(PJ, PJ)).exact == trace_exact(Q, PJ).exact ** 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -514,6 +567,17 @@ def test_lemma1_search_depth_cap_fires_past_the_stated_depth():
     assert lemma1_refine(FULL, X, 1, 1, max_search_depth=5).bound == Fraction(1, 2)
     with pytest.raises(WitnessNotFound):
         lemma1_refine(FULL, X, 1, 1, max_search_depth=4)
+
+
+def test_lemma1_cover_level_cap(monkeypatch):
+    # U in FULL gains two levels a round at k = 1, so its cover levels pass
+    # the exponent cap before k * rounds does
+    monkeypatch.setattr(measure, "_MAX_EXPONENT", 5)
+    assert lemma1_refine(FULL, U, 1, 2).cover_levels == ((4, 4),)
+    with pytest.raises(CapExceeded, match=r"lemma1: cover level 6 > 5"):
+        lemma1_refine(FULL, U, 1, 3)
+    with pytest.raises(CapExceeded, match=r"lemma1: k \* rounds = 6 > 5"):
+        lemma1_refine(FULL, U, 2, 3)
 
 
 def _reference_lemma1(P, X, k, rounds, max_search_depth=48, node_cap=20000):
