@@ -134,9 +134,10 @@ def _lusin(clamp, stages):
 
 def _product_check(clamp, p, r, depth):
     checked = 0
-    for w in trees.node_words(trees.product(p, r), clamp(depth)):
+    pr = trees.product(p, r)
+    for w in trees.node_words(pr, clamp(depth)):
         if len(w) % 2 == 0:
-            measure.product_measure(p, r, w)
+            measure.product_measure(pr, w)
             checked += 1
     return [f"= ok {checked} nodes checked"], None
 

@@ -4,17 +4,17 @@ All values are fractions in lowest terms; no floating point appears on any
 measure path.  Cylinder measures follow the halving law at branching
 points; traced measures of one closed set inside another come either as
 decreasing depth-bounded clopen hulls or as an exact solve on the product
-automaton.  Each search over the product numbers the navigator states
-and the (P-state, X-state) pairs it finds 0, 1, 2, ..., reads each
-navigator state's row once, and works on those integer ids from then on;
-the numbering belongs to the one call.  The exact solve first settles
-every state it can without arithmetic: value 1 where all of P stays inside
-X forever (Prob1) and 0 where no such state is reachable (Prob0).  It then
-solves the remaining states component by component in reverse
-topological order, by back-substitution, and with a dense rational solve
-only inside a cyclic component.  The exact value is checked against the
-first hull bounds, which are read off the same product table without
-another navigator walk.
+automaton.  Both walk the product with one step function over the rows of
+the two navigators.  The exact solve runs on two tables, whose states are
+integers already; it numbers the (P-state, X-state) pairs it finds 0, 1,
+2, ... and works on those ids from then on, and the numbering belongs to
+the one call.  It first settles every state it can without arithmetic:
+value 1 where all of P stays inside X forever (Prob1) and 0 where no such
+state is reachable (Prob0).  It then solves the remaining states component
+by component in reverse topological order, by back-substitution, and with
+a dense rational solve only inside a cyclic component.  The exact value
+is checked against the first hull bounds, which are read off the same
+product table without another navigator walk.
 """
 
 from __future__ import annotations
@@ -32,8 +32,16 @@ from .errors import (
     UnsupportedPresentation,
     WitnessNotFound,
 )
-from .trees import Navigator, TreePresentation, ancestors, product as tree_product, walk
-from .words import EMPTY, BinWord, NatWord, all_words, deinterleave
+from .trees import (
+    _MAX_PRODUCT_STATES,
+    ProductTree,
+    Row,
+    TreePresentation,
+    ancestors,
+    tabulate,
+    walk,
+)
+from .words import BinWord, NatWord, all_words, deinterleave
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -89,48 +97,22 @@ class TraceResult:
 
 
 ProductState = Tuple[object, object]
-Row = Dict[int, int]  # bit -> id of the next state
 Step = Tuple[Fraction, Tuple, bool]  # (weight, children, leaks)
 
-# trace_exact's breadth-first search stops past this many product states.
-# On a 2-core x86-64 VM with Python 3.11 a table of 144,319 states solves
-# in 1.0-1.3 s at a peak RSS of 117 MB, and a search stopped here takes
-# 1.2 s and 108 MB; one of 319,319 states took 2.7 s and 233 MB.
-_MAX_PRODUCT_STATES = 200_000
 
-
-class _Rows(dict):
-    """One search's numbering of a navigator's states, 0, 1, 2, ... as it
-    finds them (0 is the initial state), and the row {bit: next id} of each
-    id, read from the navigator once, when first looked up.  The search
-    drops it when it returns."""
-
-    def __init__(self, nav: Navigator):
-        super().__init__()
-        self.nav = nav
-        self.states = [nav.initial]
-        self.index = {nav.initial: 0}
-
-    def __missing__(self, i: int) -> Row:
-        nav, states, state = self.nav, self.states, self.states[i]
-        row = {}
-        for b in nav.bits(state):
-            t = nav.step(state, b)
-            j = row[b] = self.index.setdefault(t, len(states))
-            if j == len(states):
-                states.append(t)
-        self[i] = row
-        return row
-
-
-def _product_step(prow: _Rows, xrow: _Rows, p: int, x: int) -> Step:
-    """One step of the product automaton from the pair of a P-state id and
-    an X-state id, read off the two navigators' rows: the weight of each
-    child (1/2 at a P-split, else 1), the child pairs that stay inside X,
-    and whether some P-child leaves X."""
-    pr, xr = prow[p], xrow[x]
-    kids = tuple([(pt, xr[b]) for b, pt in pr.items() if b in xr])
-    return (HALF if len(pr) == 2 else ONE), kids, len(kids) < len(pr)
+def _product_step(prow: Callable[[object], Row], xrow: Callable[[object], Row], p, x) -> Step:
+    """One step of the product automaton from a pair of a P-state and an
+    X-state, read off the two navigators' rows: the weight of each child
+    (1/2 at a P-split, else 1), the child pairs that stay inside X, and
+    whether some P-child leaves X."""
+    (p0, p1), (x0, x1) = prow(p), xrow(x)
+    kids: Tuple = ()
+    if p0 is not None and x0 is not None:
+        kids = ((p0, x0),)
+    if p1 is not None and x1 is not None:
+        kids += ((p1, x1),)
+    in_p = (p0 is not None) + (p1 is not None)
+    return (HALF if in_p == 2 else ONE), kids, len(kids) < in_p
 
 
 def _hull_masses(step_of: Callable[[object], Step], start, depth: int) -> List[Fraction]:
@@ -157,8 +139,9 @@ def trace_upper(P: TreePresentation, X: TreePresentation, depth: int) -> TraceRe
     if depth > _MAX_EXPONENT:
         raise CapExceeded(f"trace: depth {depth} > {_MAX_EXPONENT}")
     pnav, xnav = P.navigator(), X.navigator()
-    prow, xrow = _Rows(pnav), _Rows(xnav)
-    masses = _hull_masses(lambda st: _product_step(prow, xrow, *st), (0, 0), depth)
+    prow, xrow = pnav.row, xnav.row
+    start = (pnav.initial, xnav.initial)
+    masses = _hull_masses(lambda st: _product_step(prow, xrow, *st), start, depth)
     return TraceResult(None, tuple(masses), "depth-bounded")
 
 
@@ -170,9 +153,10 @@ def default_trace_depth(P: TreePresentation, X: TreePresentation) -> int:
 def trace_exact(P: TreePresentation, X: TreePresentation) -> TraceResult:
     """Exact measure of X inside P by a solve on the product automaton.
 
-    A breadth-first search numbers every reachable (P-state, X-state) pair
-    0, 1, 2, ... as it finds it, reading each navigator state's row once,
-    and tabulates each pair's step over these ids; the numbering is dropped
+    Both sides are tables (`trees.tabulate` reads the rows of a side that
+    is not, once per state).  A breadth-first search over their rows numbers
+    every reachable (P-state, X-state) pair 0, 1, 2, ... as it finds it, and
+    tabulates each pair's step over these ids; the numbering is dropped
     when the call returns.  States from which every branch of P stays
     inside the tree of X retain full mass (Prob1, value 1); states that
     cannot reach them have value 0 (Prob0); the rest are solved exactly over
@@ -180,14 +164,17 @@ def trace_exact(P: TreePresentation, X: TreePresentation) -> TraceResult:
     topological order (`_solve_trace`).  The eight hull bounds that
     `TraceResult` checks the value against are read off the same table from
     id 0: it holds every state the hull walk reaches.  Raises CapExceeded
-    past _MAX_PRODUCT_STATES pairs.
+    past _MAX_PRODUCT_STATES states of a side or pairs.
     """
     pnav, xnav = P.navigator(), X.navigator()
     if not (pnav.finite and xnav.finite):
         raise UnsupportedPresentation(
             "trace_exact needs finite-state presentations on both sides"
         )
-    prow, xrow = _Rows(pnav), _Rows(xnav)
+    pnav, xnav = tabulate(pnav, _MAX_PRODUCT_STATES), tabulate(xnav, _MAX_PRODUCT_STATES)
+    if pnav is None or xnav is None:
+        raise CapExceeded(f"trace-exact: product states > {_MAX_PRODUCT_STATES}")
+    prow, xrow = pnav.row, xnav.row
     states = [(0, 0)]
     index = {states[0]: 0}
     table: List[Step] = []
@@ -333,18 +320,18 @@ def _solve_exact(matrix: List[List[Fraction]], rhs: List[Fraction]) -> List[Frac
 # Product measure and the natural measure
 
 
-def product_measure(P: TreePresentation, Q: TreePresentation, v: BinWord) -> Fraction:
-    """Measure of a product-tree cylinder, computed two independent ways.
+def product_measure(PQ: ProductTree, v: BinWord) -> Fraction:
+    """Measure of a cylinder of the product tree PQ, computed two
+    independent ways: directly in PQ, and as the product of the cylinder
+    measures of v's two deinterleaved halves in its factors.
 
-    Raises IntegrityError if the direct product-tree computation disagrees
-    with the product of the component cylinder measures.
+    Raises IntegrityError if the two disagree.
     """
     if len(v) % 2 != 0:
         raise ValueError("product cylinder words must have even length")
-    prod = tree_product(P, Q)
-    direct = mu_cylinder(prod, v)
+    direct = mu_cylinder(PQ, v)
     wp, wq = deinterleave(v)
-    split = mu_cylinder(P, wp) * mu_cylinder(Q, wq)
+    split = mu_cylinder(PQ.left, wp) * mu_cylinder(PQ.right, wq)
     if direct != split:
         raise IntegrityError(
             f"product measure mismatch at {v}: {direct} vs {split}"
@@ -515,9 +502,10 @@ def lemma1_refine(
             children_of[key] = out
         return children_of[key]
 
-    # cover classes: (p state, x state or None, level) -> [count, representative]
+    # cover classes: (p state, x state or None, level) -> [count, the bits
+    # of the representative]; a BinWord is built only for a failure's word
     p0, x0 = pnav.initial, xnav.initial
-    cover: Dict[Tuple[object, object, int], List] = {(p0, x0, 0): [1, EMPTY]}
+    cover: Dict[Tuple[object, object, int], List] = {(p0, x0, 0): [1, ()]}
     totals: List[int] = []  # cover nodes after each round
     log: List[str] = []
 
@@ -528,16 +516,15 @@ def lemma1_refine(
 
     for r in range(rounds):
         new_cover: Dict[Tuple[object, object, int], List] = {}
-        for (ps, xs, lvl), (cnt, rep) in sorted(
-            cover.items(), key=lambda item: str(item[1][1])
-        ):
+        # in the order of the representatives, lexicographic with a prefix first
+        for (ps, xs, lvl), (cnt, rep) in sorted(cover.items(), key=lambda item: item[1][1]):
             try:
                 kids = class_children(ps, xs)
             except WitnessNotFound:
-                raise WitnessNotFound(rep) from None
+                raise WitnessNotFound(BinWord(rep)) from None
             for suffix, end_p, end_x, gain in kids:
                 key = (end_p, end_x, lvl + gain)
-                rep_word = BinWord(rep.bits + suffix)
+                rep_word = rep + suffix
                 entry = new_cover.get(key)
                 if entry is None:
                     new_cover[key] = [cnt, rep_word]

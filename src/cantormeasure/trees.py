@@ -1,14 +1,19 @@
 """Finite presentations of closed subtrees of the binary tree.
 
 Every presentation compiles once into a navigator: a deterministic
-transition structure whose unrolling is the presented tree.  Full,
-explicit, block-periodic and Silver presentations compile to a transition
-table; products and subtrees wrap the navigators of their parts; the
-staircase generates its levels on demand.  Apart from the staircase and
-explicit trees, and what is built on them, every navigator is a finite
-automaton, so membership, prunedness, perfection and all measure questions
-downstream have exact answers.  An explicit tree's table has no rows at
-its depth: that is its horizon, and queries past it fail loudly.
+transition structure whose unrolling is the presented tree.  Every finite
+presentation (full, explicit, block-periodic and Silver trees, and the
+products and subtrees built from them) compiles to a TableNavigator, one
+row (next on 0, next on 1) per integer state.  A product of two tables is
+built from their rows in one breadth-first pass, and a subtree is its
+stem's forced bits followed by the base's table, shifted.  Only the
+staircase generates its levels on demand; products and subtrees over it,
+and a product whose table would pass _MAX_PRODUCT_STATES, wrap the
+navigators of their parts.  Apart from the staircase and explicit trees,
+and what is built on them, every navigator is a finite automaton, so
+membership, prunedness, perfection and all measure questions downstream
+have exact answers.  An explicit tree's table has no rows at its depth:
+that is its horizon, and queries past it fail loudly.
 """
 
 from __future__ import annotations
@@ -32,15 +37,29 @@ from .words import EMPTY, BinWord
 # ---------------------------------------------------------------------------
 # Navigators
 
+# A row: (next state on 0, next state on 1), None for a missing child.
+Row = Tuple[object, object]
+
+# A product of two tables is compiled to a table of at most this many
+# states, and trace_exact's search stops past this many (P-state, X-state)
+# pairs.  On a 2-core x86-64 VM with Python 3.11 a trace table of 144,319
+# states solves in 1.0-1.3 s at a peak RSS of 117 MB, and a search stopped
+# here takes 1.2 s and 108 MB; one of 319,319 states took 2.7 s and 233 MB.
+_MAX_PRODUCT_STATES = 200_000
+
 
 class Navigator:
     """Transition-structure view of a tree; states are hashable.  horizon
     is the least depth at which bits raises HorizonExceeded (None: never);
-    known_perfect marks a tree pruned and perfect by construction."""
+    known_perfect marks a tree pruned and perfect by construction.  rows is
+    the list of every state's row when the navigator is a table over the
+    states 0, 1, ..., n-1, and None for one that generates its states on
+    demand."""
 
     finite = True
     horizon: Optional[int] = None
     known_perfect = False
+    rows: Optional[List[Optional[Row]]] = None
     initial: object
 
     def bits(self, state) -> Tuple[int, ...]:
@@ -48,6 +67,11 @@ class Navigator:
 
     def step(self, state, bit: int):
         raise NotImplementedError
+
+    def row(self, state) -> Row:
+        """The state's row; raises HorizonExceeded at the horizon."""
+        bs = self.bits(state)
+        return tuple([self.step(state, b) if b in bs else None for b in (0, 1)])
 
 
 def walk(nav: Navigator, bits: Sequence[int], state) -> Optional[Tuple[object, int]]:
@@ -64,44 +88,150 @@ def walk(nav: Navigator, bits: Sequence[int], state) -> Optional[Tuple[object, i
     return state, splits
 
 
+# the children of a row, by (child 0 present) + 2 * (child 1 present)
+_BITS = ((), (0,), (1,), (0, 1))
+
+
 class TableNavigator(Navigator):
-    """A transition table.  With a horizon, the rows stop there: a state
-    without a row raises HorizonExceeded in bits and steps nowhere."""
+    """A transition table over the states 0, 1, ..., n-1, from state 0:
+    rows[s] is the row of state s, and bits and step are read off it.  With
+    a horizon the rows stop there: a state at the horizon has the row None,
+    so bits and row raise HorizonExceeded and step leads nowhere.
+    trie_depth is the depth of the explicit tree whose horizon that is."""
+
+    initial = 0
 
     def __init__(
-        self, initial, trans: Mapping[object, Mapping[int, object]], horizon: Optional[int] = None
+        self,
+        rows: List[Optional[Row]],
+        horizon: Optional[int] = None,
+        trie_depth: Optional[int] = None,
     ):
-        self.initial = initial
+        self.rows = rows
         self.horizon = horizon
         self.finite = horizon is None
-        # rows in bit order, so that bits() is the row's keys as they stand
-        self._trans = {s: dict(sorted(m.items())) for s, m in trans.items()}
+        self.trie_depth = horizon if trie_depth is None else trie_depth
+
+    @classmethod
+    def from_mapping(
+        cls, initial, trans: Mapping[object, Mapping[int, object]], horizon: Optional[int] = None
+    ) -> "TableNavigator":
+        """The table of a transition mapping {state: {bit: next state}} from
+        initial; a state missing from the mapping has no row."""
+
+        def row_of(s):
+            m = trans.get(s)
+            return None if m is None else (m.get(0), m.get(1))
+
+        return cls(_numbered(initial, row_of), horizon)
+
+    def row(self, state) -> Row:
+        row = self.rows[state]
+        if row is None:
+            raise HorizonExceeded(
+                f"explicit tree of depth {self.trie_depth} queried past its horizon"
+            )
+        return row
 
     def bits(self, state) -> Tuple[int, ...]:
-        try:
-            return tuple(self._trans[state])
-        except KeyError:
-            raise HorizonExceeded(
-                f"explicit tree of depth {self.horizon} queried past its horizon"
-            ) from None
+        zero, one = self.row(state)
+        return _BITS[(zero is not None) + 2 * (one is not None)]
 
     def step(self, state, bit: int):
-        try:
-            return self._trans[state].get(bit)
-        except KeyError:
+        row = self.rows[state]
+        return None if row is None else row[bit]
+
+
+def _numbered(initial, row_of, cap: Optional[int] = None) -> Optional[List[Optional[Row]]]:
+    """The rows of the states reachable from initial, renumbered 0, 1, 2,
+    ... breadth-first: row_of(state) is the state's row over the old states,
+    or None where it has none, and is called once per state.  None past cap
+    states."""
+    states = [initial]
+    index = {initial: 0}
+    rows: List[Optional[Row]] = []
+    for s in states:  # the list grows while it is read
+        row = row_of(s)
+        if row is not None:
+            ids = []
+            for t in row:
+                if t is not None:
+                    j = index.setdefault(t, len(states))
+                    if j == len(states):
+                        states.append(t)
+                    t = j
+                ids.append(t)
+            row = tuple(ids)
+        rows.append(row)
+        if cap is not None and len(states) > cap:
             return None
+    return rows
+
+
+def tabulate(nav: Navigator, cap: int) -> Optional[TableNavigator]:
+    """A finite-state navigator as a table: itself if it is one, else its
+    states reachable from its initial state, each row read once; None past
+    cap states."""
+    if nav.rows is not None:
+        return nav
+    rows = _numbered(nav.initial, nav.row, cap)
+    return None if rows is None else TableNavigator(rows)
+
+
+def _product_horizon(left: Navigator, right: Navigator) -> Tuple[Optional[int], object]:
+    """A product's horizon, and the side whose horizon it is: the left tree
+    feeds depths 0, 2, 4, ..., the right 1, 3, 5, ..."""
+    sides = enumerate((left, right))
+    ends = [(2 * nav.horizon + i, nav) for i, nav in sides if nav.horizon is not None]
+    # no tie: the two ends differ in parity
+    return min(ends, key=lambda end: end[0], default=(None, None))
+
+
+def _product_table(left: TableNavigator, right: TableNavigator) -> Optional[TableNavigator]:
+    """The product of two tables, by one breadth-first pass over the states
+    (left id, right id, parity), keyed 2 * (left id * n + right id) + parity
+    with n the right table's size; None past _MAX_PRODUCT_STATES states."""
+    lrows, rrows, n = left.rows, right.rows, len(right.rows)
+
+    def row_of(key):
+        lr, parity = divmod(key, 2)
+        l, r = divmod(lr, n)
+        row = rrows[r] if parity else lrows[l]
+        if row is None:
+            return None
+        if parity:
+            return tuple([None if t is None else 2 * (l * n + t) for t in row])
+        return tuple([None if t is None else 2 * (t * n + r) + 1 for t in row])
+
+    rows = _numbered(0, row_of, _MAX_PRODUCT_STATES)
+    if rows is None:
+        return None
+    horizon, side = _product_horizon(left, right)
+    return TableNavigator(rows, horizon, None if side is None else side.trie_depth)
+
+
+def _stem_table(stem: Tuple[int, ...], base: TableNavigator, base_state: int) -> TableNavigator:
+    """A stem over a table: one state per forced bit, then the base's
+    table shifted past them."""
+    m = len(stem)
+    rows: List[Optional[Row]] = []
+    for i, b in enumerate(stem):
+        nxt = i + 1 if i + 1 < m else base_state + m
+        rows.append((nxt, None) if b == 0 else (None, nxt))
+    for row in base.rows:
+        rows.append(None if row is None else tuple([None if t is None else t + m for t in row]))
+    return TableNavigator(rows, base.horizon, base.trie_depth)
 
 
 class ProductNavigator(Navigator):
-    """Bits at even positions feed the left tree, odd positions the right."""
+    """Bits at even positions feed the left tree, odd positions the right.
+    Only for a side that is not a table, or a product past the table cap."""
 
     def __init__(self, left: Navigator, right: Navigator):
         self.left = left
         self.right = right
         self.finite = left.finite and right.finite
-        # the left tree feeds depths 0, 2, 4, ..., the right 1, 3, 5, ...
-        ends = [2 * h + i for i, h in enumerate((left.horizon, right.horizon)) if h is not None]
-        self.horizon = min(ends, default=None)
+        self.horizon = _product_horizon(left, right)[0]
         self.initial = (left.initial, right.initial, 0)
 
     def bits(self, state) -> Tuple[int, ...]:
@@ -118,7 +248,8 @@ class ProductNavigator(Navigator):
 
 
 class StemNavigator(Navigator):
-    """Forced bits along a stem word, then the base tree from its far end."""
+    """Forced bits along a stem word, then the base tree from its far end.
+    Only for a base that is not a table."""
 
     def __init__(self, stem: Tuple[int, ...], base: Navigator, base_state):
         self.stem = stem
@@ -176,7 +307,7 @@ class TreePresentation:
 @dataclass(frozen=True)
 class FullTree(TreePresentation):
     def _compile(self) -> Navigator:
-        return TableNavigator(0, {0: {0: 0, 1: 0}})
+        return TableNavigator([(0, 0)])
 
     def __str__(self) -> str:
         return "full"
@@ -196,12 +327,12 @@ class ExplicitTree(TreePresentation):
             )
 
     def _compile(self) -> Navigator:
-        # states are node words as bit tuples; the nodes at the depth get no row
+        # a trie over the node words as bit tuples; the nodes at the depth get no row
         trans: Dict[Tuple[int, ...], Dict[int, Tuple[int, ...]]] = {}
         for w in self.frontier:
             for n in range(self.depth):
                 trans.setdefault(w.bits[:n], {})[w.bits[n]] = w.bits[: n + 1]
-        return TableNavigator((), trans, horizon=self.depth)
+        return TableNavigator.from_mapping((), trans, horizon=self.depth)
 
     def __str__(self) -> str:
         return "words{" + " ".join(map(str, sorted(self.frontier))) + "}"
@@ -240,7 +371,7 @@ class BlockTree(TreePresentation):
                     if q in prefixes:
                         row[bit] = q
             trans[p] = row
-        return TableNavigator((), trans)
+        return TableNavigator.from_mapping((), trans)
 
     def __str__(self) -> str:
         return f"blocks({self.k}){{{' '.join(map(str, sorted(self.blocks)))}}}"
@@ -276,11 +407,11 @@ class SilverTree(TreePresentation):
     def _compile(self) -> Navigator:
         # state n is the entry index; the last entry loops back into the period
         entries = self.prefix + self.period
-        trans: Dict[int, Dict[int, int]] = {}
+        rows: List[Optional[Row]] = []
         for n, a in enumerate(entries):
             nxt = n + 1 if n + 1 < len(entries) else len(self.prefix)
-            trans[n] = {0: nxt, 1: nxt} if a == -1 else {a: nxt}
-        return TableNavigator(0, trans)
+            rows.append((nxt if a != 1 else None, nxt if a != 0 else None))
+        return TableNavigator(rows)
 
     def __str__(self) -> str:
         pre, per = (" ".join(map(str, entries)) for entries in (self.prefix, self.period))
@@ -358,7 +489,12 @@ class ProductTree(TreePresentation):
     right: TreePresentation
 
     def _compile(self) -> Navigator:
-        return ProductNavigator(self.left.navigator(), self.right.navigator())
+        left, right = self.left.navigator(), self.right.navigator()
+        if left.rows is not None and right.rows is not None:
+            nav = _product_table(left, right)
+            if nav is not None:
+                return nav
+        return ProductNavigator(left, right)
 
     def __str__(self) -> str:
         return f"product({self.left},{self.right})"
@@ -385,7 +521,10 @@ class Subtree(TreePresentation):
 
     def _compile(self) -> Navigator:
         nav = self.base.navigator()
-        return StemNavigator(self.root.bits, nav, walk(nav, self.root.bits, nav.initial)[0])
+        start = walk(nav, self.root.bits, nav.initial)[0]
+        if nav.rows is None:
+            return StemNavigator(self.root.bits, nav, start)
+        return _stem_table(self.root.bits, nav, start)
 
     def __str__(self) -> str:
         return f"subtree({self.base},{self.root})"
@@ -460,7 +599,7 @@ def validate(P: TreePresentation) -> ValidationReport:
     rebuilt from the search's back-pointers.  Exact for finite-state
     presentations; one with a horizon is checked up to it, which is
     exact_to: states there are recorded but neither expanded nor checked (a
-    horizon comes from a trie, whose states are node words, so a state
+    horizon comes from a trie, each of whose states is one node, so a state
     fixes its depth)."""
     nav = P.navigator()
     if nav.known_perfect:

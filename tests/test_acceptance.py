@@ -114,7 +114,7 @@ def test_05_product_identity():
         checked = 0
         for v in node_words(prod, 12):
             if len(v) % 2 == 0:
-                product_measure(left, right, v)  # raises on any mismatch
+                product_measure(prod, v)  # raises on any mismatch
                 checked += 1
         assert checked > 0
     report(5, "both product-measure paths agree to depth 12")

@@ -2,10 +2,11 @@
 
 import pytest
 
-from cantormeasure import measure
+from cantormeasure import measure, trees
 from cantormeasure.cli import builtin_env, main, parse, render_script, run
 from cantormeasure.errors import ParseError, PresentationError
 from cantormeasure.trees import BlockTree, FullTree
+from cantormeasure.words import BinWord
 
 
 def test_builtins_present():
@@ -185,6 +186,30 @@ def test_every_report_kind_is_printed():
     assert report.exit_code == 3
     # a domain error without a kind of its own reports the base class's
     assert ParseError("bad", 1).kind == "other"
+
+
+def test_a_product_past_the_table_cap_stays_lazy(monkeypatch):
+    # PJ has 79 states and product(PJ,PJ) 2063, so the product of two such
+    # products has too many states to tabulate; B's cylinder 0111 is A's
+    # cylinders 01 and 11, in a table of A built under the default cap
+    PJ = builtin_env()["PJ"]
+    A = trees.product(PJ, PJ)
+    assert A.navigator().rows is not None
+    expected = measure.mu_cylinder(A, BinWord((0, 1))) * measure.mu_cylinder(A, BinWord((1, 1)))
+    monkeypatch.setattr(trees, "_MAX_PRODUCT_STATES", 1000)
+    monkeypatch.setattr(measure, "_MAX_PRODUCT_STATES", 1000)
+    script = parse(
+        "tree A = product(PJ,PJ)\n"
+        "tree B = product(A,A)\n"
+        "query measure B cylinder 0111\n"
+        "query trace-exact A in B\n"
+    )
+    assert [tree.navigator().rows for _, tree in script.declarations] == [None, None]
+    report = run(script)
+    assert [line for line in report.text.splitlines() if line.startswith(("!", "="))] == [
+        f"= {expected}",
+        "! error(cap): trace-exact: product states > 1000",
+    ]
 
 
 def test_caps_are_reported_and_the_script_goes_on(monkeypatch):

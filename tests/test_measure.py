@@ -23,8 +23,6 @@ from cantormeasure.measure import (
     HALF,
     BoundCertificate,
     _components,
-    _Rows,
-    _product_step,
     _solve_exact,
     _solve_trace,
     baire_measure,
@@ -193,20 +191,22 @@ def test_trace_exact_needs_finite_states():
 
 
 def _product_table(P, X):
-    """The reachable pairs of (P-state id, X-state id) in breadth-first
-    order, and the step of each pair by its own id: (weight, kid ids,
-    leaks)."""
-    prow, xrow = _Rows(P.navigator()), _Rows(X.navigator())
-    states = [(0, 0)]
+    """The reachable (P-state, X-state) pairs in breadth-first order, found
+    through the navigators' bits and step, and the step of each pair by its
+    own id: (weight, kid ids, leaks)."""
+    pnav, xnav = P.navigator(), X.navigator()
+    states = [(pnav.initial, xnav.initial)]
     index = {states[0]: 0}
     table = []
-    for st in states:
-        w, kids, leaks = _product_step(prow, xrow, *st)
+    for ps, xs in states:
+        pbits, xbits = pnav.bits(ps), xnav.bits(xs)
+        kids = [(pnav.step(ps, b), xnav.step(xs, b)) for b in pbits if b in xbits]
         for t in kids:
             if t not in index:
                 index[t] = len(states)
                 states.append(t)
-        table.append((w, tuple(index[t] for t in kids), leaks))
+        weight = HALF if len(pbits) == 2 else Fraction(1)
+        table.append((weight, tuple(index[t] for t in kids), len(kids) < len(pbits)))
     return states, table
 
 
@@ -292,7 +292,7 @@ class _TableTree(TreePresentation):
     table: tuple
 
     def _compile(self):
-        return TableNavigator("a", dict(self.table))
+        return TableNavigator.from_mapping("a", dict(self.table))
 
 
 def test_solve_trace_cyclic_component(monkeypatch):
@@ -397,20 +397,42 @@ class _Counted(TreePresentation):
         self._nav = _CountingNavigator(tree.navigator())
 
 
-def test_trace_exact_reads_each_navigator_row_once():
+def test_trace_exact_reads_each_navigator_row_once(monkeypatch):
     PJ = make_named("PJ").presentation
     pairs = [(Q, E), (Q, PJ), (product(Q, Q), product(PJ, PJ)), (E, Subtree(E, BinWord((0,))))]
     pairs += [(P, X) for P, X, _, _ in _random_pairs()][:20]
+    # a side that is not a table is tabulated first: one read of each
+    # state's bits, and one step for each of its children
     for P, X in pairs:
         cp, cx = _Counted(P), _Counted(X)
         assert trace_exact(cp, cx) == trace_exact(P, X)
-        states = _product_table(P, X)[0]
-        for nav, ids in ((cp._nav, {p for p, _ in states}), (cx._nav, {x for _, x in states})):
+        for tree, nav in ((P, cp._nav), (X, cx._nav)):
             assert max(nav.reads.values()) == 1, (P, X)
-            # a row was read for each state the search reached, and no other
             read = {key[1] for key in nav.reads if key[0] == "bits"}
-            assert len(read) == len(ids), (P, X)
+            assert read == set(_reachable(tree.navigator())), (P, X)
             assert {key[1] for key in nav.reads} == read, (P, X)
+    # two tables are read through their rows alone
+
+    def unread(self, *args):
+        raise AssertionError("a table's bits or step was called")
+
+    monkeypatch.setattr(TableNavigator, "bits", unread)
+    monkeypatch.setattr(TableNavigator, "step", unread)
+    for P, X in pairs:
+        assert P.navigator().rows is not None and X.navigator().rows is not None
+        trace_exact(P, X)
+
+
+def _reachable(nav):
+    """The states of a navigator reachable from its initial state."""
+    seen, todo = {nav.initial}, [nav.initial]
+    while todo:
+        s = todo.pop()
+        for t in nav.row(s):
+            if t is not None and t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
 
 
 def test_trace_exact_state_cap(monkeypatch):
@@ -435,13 +457,13 @@ def test_product_measure_identity():
     for wp in all_words(3):
         for wq in all_words(3):
             v = interleave(wp, wq)
-            got = product_measure(E, U, v)
+            got = product_measure(product(E, U), v)
             assert got == mu_cylinder(E, wp) * mu_cylinder(U, wq)
 
 
 def test_product_measure_rejects_odd_words():
     with pytest.raises(ValueError):
-        product_measure(E, U, BinWord((0,)))
+        product_measure(product(E, U), BinWord((0,)))
 
 
 def test_lemma1_full_U_exact_geometric():
@@ -567,6 +589,27 @@ def test_lemma1_search_depth_cap_fires_past_the_stated_depth():
     assert lemma1_refine(FULL, X, 1, 1, max_search_depth=5).bound == Fraction(1, 2)
     with pytest.raises(WitnessNotFound):
         lemma1_refine(FULL, X, 1, 1, max_search_depth=4)
+
+
+def test_lemma1_builds_no_binword_per_round(monkeypatch):
+    # the rounds keep representatives as bit tuples; a BinWord is built
+    # only for a failure's word and for the explicit cover, which node_cap 0
+    # leaves out, so the count does not grow with the rounds
+    built = 0
+    check = BinWord.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        check(self)
+
+    monkeypatch.setattr(BinWord, "__post_init__", counting)
+    counts = []
+    for rounds in (10, 40, 160):
+        built = 0
+        assert lemma1_refine(FULL, U, 1, rounds, node_cap=0).cover is None
+        counts.append(built)
+    assert counts[0] == counts[1] == counts[2], counts
 
 
 def test_lemma1_cover_level_cap(monkeypatch):

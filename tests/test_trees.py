@@ -24,8 +24,11 @@ from cantormeasure.trees import (
     BlockTree,
     ExplicitTree,
     FullTree,
+    ProductNavigator,
+    ProductTree,
     SilverTree,
     StaircaseTree,
+    StemNavigator,
     Subtree,
     TableNavigator,
     TreePresentation,
@@ -268,7 +271,7 @@ class _TableTree(TreePresentation):
     table: tuple
 
     def _compile(self):
-        return TableNavigator(0, dict(self.table))
+        return TableNavigator.from_mapping(0, dict(self.table))
 
 
 def _random_validation_tree(rng, depth=0):
@@ -367,6 +370,66 @@ def _random_horizoned_tree(rng, depth=0):
     base = _random_horizoned_tree(rng, depth + 1)
     h = base.navigator().horizon
     return Subtree(base, rng.choice(list(node_words(base, 3 if h is None else min(3, h)))))
+
+
+def _lazy_navigator(P):
+    """P's navigator as built without tables: a ProductNavigator or a
+    StemNavigator over the lazy navigators of its parts."""
+    if isinstance(P, ProductTree):
+        return ProductNavigator(_lazy_navigator(P.left), _lazy_navigator(P.right))
+    if isinstance(P, Subtree):
+        base = _lazy_navigator(P.base)
+        return StemNavigator(P.root.bits, base, walk(base, P.root.bits, base.initial)[0])
+    return P.navigator()
+
+
+def _assert_same_bits(nav, ref, depth):
+    """nav gives the bits ref gives along every word up to depth, steps
+    exactly where it has a child, and raises ref's HorizonExceeded at its
+    horizon."""
+    level = [(nav.initial, ref.initial)]
+    for d in range(depth + 1):
+        nxt = []
+        for s, r in level:
+            try:
+                bits = nav.bits(s)
+            except HorizonExceeded as exc:
+                assert d == nav.horizon
+                with pytest.raises(HorizonExceeded) as ref_exc:
+                    ref.bits(r)
+                assert str(ref_exc.value) == str(exc)
+                continue
+            assert bits == ref.bits(r)
+            for b in (0, 1):
+                t = nav.step(s, b)
+                assert (t is None) == (b not in bits)
+                if t is not None:
+                    nxt.append((t, ref.step(r, b)))
+        level = nxt
+
+
+def test_tables_match_lazy_navigators():
+    # products and stems, nested, over full, block, Silver and explicit
+    # trees compile to tables; over the staircase they stay lazy
+    rng = random.Random(1517)
+    E = BlockTree(3, frozenset(parse_words(["000", "001", "011", "111"])))
+    words = ExplicitTree(3, frozenset(parse_words(["010", "011", "110"])))
+    trees = [
+        product(Subtree(product(E, words), BinWord((0, 0, 1))), Subtree(SilverTree((1,), (-1, 0)), BinWord((1, 1)))),
+        Subtree(product(product(words, FullTree()), E), BinWord((0, 1, 1))),
+        product(Subtree(StaircaseTree(), BinWord((1,))), product(E, words)),
+        Subtree(product(E, StaircaseTree()), BinWord((0, 1))),
+    ]
+    trees += [_random_horizoned_tree(rng) for _ in range(60)]
+    kinds = set()
+    for P in trees:
+        nav, ref = P.navigator(), _lazy_navigator(P)
+        over_staircase = "staircase" in str(P)
+        assert (nav.rows is None) == over_staircase, P
+        assert (nav.horizon, nav.finite) == (ref.horizon, ref.finite), P
+        _assert_same_bits(nav, ref, 10)
+        kinds.add((over_staircase, nav.horizon is None))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _node_scan_validate(P, h):
