@@ -5,11 +5,12 @@ when the cover carries explicit nodes, re-counts every level from the
 tree's own transitions instead of the measure engine's level bookkeeping.
 One walk takes the cover words in file order and resumes each word at its
 longest common prefix with the previous one.  At every node on the way it
-tests membership of both children, one navigator step each, and counts a
-branching point when both are in the tree.  For a sorted cover, as
-lemma1_refine emits it, that is at most two steps per distinct prefix of
-the cover words; lines in any other order give the same answer with more
-steps.
+reads the node's row, its children on 0 and on 1, and counts a branching
+point when both are in the tree.  For a sorted cover, as lemma1_refine
+emits it, that is at most one row read per distinct prefix of the cover
+words; lines in any other order give the same answer with more reads.  A
+cover word that runs past the horizon of an explicit tree is reported as
+such: the tree says nothing there.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import CantorMeasureError, ParseError
+from .errors import CantorMeasureError, HorizonExceeded, ParseError
 from .trees import Navigator, parse_tree_expr
 from .words import BinWord, parse_bits
 
@@ -55,13 +56,14 @@ def _exponent(text: str) -> int:
 
 
 def _replay(nav: Navigator, cover: Sequence[Tuple[Tuple[int, ...], int]]) -> List[str]:
-    """A message for every cover word that is not a node of the tree or
-    whose stated level differs from the branching points strictly below it."""
+    """A message for every cover word that is not a node of the tree, runs
+    past its horizon, or whose stated level differs from the branching
+    points strictly below it."""
     messages: List[str] = []
     prev: Tuple[int, ...] = ()
     # along the last word, as far as it stayed in the tree: the state and
-    # the branching points passed at each depth, and the children of each
-    # node the walk has looked below
+    # the branching points passed at each depth, and the row of each node
+    # the walk has looked below
     states: List[object] = [nav.initial]
     splits = [0]
     kids: List[Tuple[object, object]] = []
@@ -70,16 +72,20 @@ def _replay(nav: Navigator, cover: Sequence[Tuple[Tuple[int, ...], int]]) -> Lis
         while n < top and bits[n] == prev[n]:
             n += 1
         del states[n + 1:], splits[n + 1:], kids[n + 1:]
-        for i in range(n, len(bits)):
-            if i == len(kids):
-                kids.append((nav.step(states[i], 0), nav.step(states[i], 1)))
-            zero, one = kids[i]
-            child = one if bits[i] else zero
-            if child is None:
-                break
-            states.append(child)
-            splits.append(splits[i] + (zero is not None and one is not None))
         prev = bits
+        try:
+            for i in range(n, len(bits)):
+                if i == len(kids):
+                    kids.append(nav.row(states[i]))
+                zero, one = kids[i]
+                child = one if bits[i] else zero
+                if child is None:
+                    break
+                states.append(child)
+                splits.append(splits[i] + (zero is not None and one is not None))
+        except HorizonExceeded as exc:
+            messages.append(f"cover node {BinWord(bits)} lies past the horizon: {exc}")
+            continue
         if len(states) <= len(bits):
             messages.append(f"cover node {BinWord(bits)} is not a node of the tree")
         elif splits[len(bits)] != lvl:

@@ -4,17 +4,18 @@ All values are fractions in lowest terms; no floating point appears on any
 measure path.  Cylinder measures follow the halving law at branching
 points; traced measures of one closed set inside another come either as
 decreasing depth-bounded clopen hulls or as an exact solve on the product
-automaton.  Both walk the product with one step function over the rows of
-the two navigators.  The exact solve runs on two tables, whose states are
-integers already; it numbers the (P-state, X-state) pairs it finds 0, 1,
-2, ... and works on those ids from then on, and the numbering belongs to
-the one call.  It first settles every state it can without arithmetic:
-value 1 where all of P stays inside X forever (Prob1) and 0 where no such
-state is reachable (Prob0).  It then solves the remaining states component
-by component in reverse topological order, by back-substitution, and with
-a dense rational solve only inside a cyclic component.  The exact value
-is checked against the first hull bounds, which are read off the same
-product table without another navigator walk.
+automaton.  Every walk reads navigator rows: cylinders and lemma1's
+windows through `trees.walk`, and both traces through one step function
+over the rows of the two navigators.  The exact solve runs on two tables,
+whose states are integers already; it numbers the (P-state, X-state) pairs
+it finds 0, 1, 2, ... and works on those ids from then on, and the
+numbering belongs to the one call.  It first settles every state it can
+without arithmetic: value 1 where all of P stays inside X forever (Prob1)
+and 0 where no such state is reachable (Prob0).  It then solves the
+remaining states component by component in reverse topological order, by
+back-substitution, and with a dense rational solve only inside a cyclic
+component.  The exact value is checked against the first hull bounds,
+which are read off the same product table without another navigator walk.
 """
 
 from __future__ import annotations
@@ -414,9 +415,10 @@ def lemma1_refine(
     the level counts alone.
 
     Raises WitnessNotFound when a reachable cover node has no escape
-    window within the search depth, and CapExceeded for k > _MAX_WINDOW
-    or for an exponent of 2 past certcheck's _MAX_EXPONENT: k * rounds, or
-    a cover level.
+    window within the search depth, and CapExceeded for k > _MAX_WINDOW,
+    for an exponent of 2 past certcheck's _MAX_EXPONENT (k * rounds, or a
+    cover level), or once _MAX_PRODUCT_STATES (P-state, X-state) pairs
+    have entries.
     """
     if k < 1:
         raise ValueError("window length k must be at least 1")
@@ -451,6 +453,8 @@ def lemma1_refine(
         states: the other windows that stay in P, or without a window its
         one-bit P-children."""
         if (p, x) not in entries:
+            if len(entries) >= _MAX_PRODUCT_STATES:
+                raise CapExceeded(f"lemma1: product states > {_MAX_PRODUCT_STATES}")
             kids = in_p(p, x, windows)
             window = next((wb for wb, _, end_x, _ in kids if end_x is None), None)
             if window is None:

@@ -73,9 +73,7 @@ def _state_set_sequence(nav: Navigator):
     while cur not in seen:
         seen[cur] = len(sets)
         sets.append(cur)
-        cur = frozenset(
-            nav.step(s, b) for s in cur for b in nav.bits(s)
-        )
+        cur = frozenset(t for s in cur for t in nav.row(s) if t is not None)
     return sets, seen[cur]
 
 
@@ -84,13 +82,14 @@ def _forced_walk(nav: Navigator, state) -> Tuple[object, List[int]]:
     the forced bits passed)."""
     gap: List[int] = []
     while True:
-        bs = nav.bits(state)
-        if len(bs) == 2:
+        row = nav.row(state)
+        if None not in row:
             return state, gap
-        if not bs:
+        if row == (None, None):
             raise PresentationError("tree is not pruned at a forced node")
-        state = nav.step(state, bs[0])
-        gap.append(bs[0])
+        b = 1 if row[0] is None else 0
+        state = row[b]
+        gap.append(b)
         if len(gap) > _FORCED_WALK_CAP:
             raise PresentationError("no branching point below a node; tree not perfect")
 
@@ -100,11 +99,11 @@ def _classify_finite(nav: Navigator, budget: int) -> Classification:
     uniform = True
     silver = True
     for states in sets:
-        bitsets = {nav.bits(s) for s in states}
-        n_split = sum(1 for s in states if len(nav.bits(s)) == 2)
+        rows = [nav.row(s) for s in states]
+        n_split = sum(None not in row for row in rows)
         if 0 < n_split < len(states):
             uniform = False
-        if len(bitsets) > 1:
+        if len({(zero is None, one is None) for zero, one in rows}) > 1:
             silver = False
     silver = silver and uniform
 
@@ -119,10 +118,10 @@ def _classify_finite(nav: Navigator, budget: int) -> Classification:
     for _ in range(budget):
         nxt: Set[Tuple[object, int]] = set()
         for state, off in front:
-            for b in nav.bits(state):
-                child = nav.step(state, b)
-                q, gap = _forced_walk(nav, child)
-                nxt.add((q, off + 1 + len(gap)))
+            for child in nav.row(state):
+                if child is not None:
+                    q, gap = _forced_walk(nav, child)
+                    nxt.add((q, off + 1 + len(gap)))
         mn = min(off for _, off in nxt)
         mx = max(off for _, off in nxt)
         if base + mn <= prev_max:  # s_{i+1} <= S_i
@@ -150,20 +149,19 @@ def _classify_enumerated(nav: Navigator, depth: int) -> Classification:
     min_count = None
     for d in range(depth):
         cur = level_nodes[-1]
-        cur_bits = [nav.bits(st) for st, _ in cur]
-        n_split = sum(1 for bs in cur_bits if len(bs) == 2)
+        rows = [nav.row(st) for st, _ in cur]
+        n_split = sum(None not in row for row in rows)
         if 0 < n_split < len(cur):
             uniform = False
-        if len(set(cur_bits)) > 1:
+        if len({(zero is None, one is None) for zero, one in rows}) > 1:
             silver = False
         nxt: List[Tuple[object, int]] = []
-        for (st, count), bs in zip(cur, cur_bits):
-            if len(bs) == 2:
+        for (_, count), row in zip(cur, rows):
+            if None not in row:
                 s.setdefault(count, d)
                 S[count] = d
                 count += 1
-            for b in bs:
-                nxt.append((nav.step(st, b), count))
+            nxt.extend((t, count) for t in row if t is not None)
         level_nodes.append(nxt)
         min_count = min(c for _, c in nxt)
     complete = min_count if min_count is not None else 0
@@ -198,7 +196,7 @@ def canon_embed(P: TreePresentation, w: BinWord) -> BinWord:
     nav = P.navigator()
     state, out = _forced_walk(nav, nav.initial)
     for b in w.bits:
-        state, lead = _forced_walk(nav, nav.step(state, b))
+        state, lead = _forced_walk(nav, nav.row(state)[b])
         out.append(b)
         out.extend(lead)
     return BinWord(tuple(out))

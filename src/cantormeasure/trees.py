@@ -1,19 +1,23 @@
 """Finite presentations of closed subtrees of the binary tree.
 
 Every presentation compiles once into a navigator: a deterministic
-transition structure whose unrolling is the presented tree.  Every finite
-presentation (full, explicit, block-periodic and Silver trees, and the
-products and subtrees built from them) compiles to a TableNavigator, one
-row (next on 0, next on 1) per integer state.  A product of two tables is
-built from their rows in one breadth-first pass, and a subtree is its
-stem's forced bits followed by the base's table, shifted.  Only the
-staircase generates its levels on demand; products and subtrees over it,
-and a product whose table would pass _MAX_PRODUCT_STATES, wrap the
-navigators of their parts.  Apart from the staircase and explicit trees,
-and what is built on them, every navigator is a finite automaton, so
-membership, prunedness, perfection and all measure questions downstream
-have exact answers.  An explicit tree's table has no rows at its depth:
-that is its horizon, and queries past it fail loudly.
+transition structure whose unrolling is the presented tree.  A navigator
+implements one thing, row(state): the state's next state on 0 and on 1,
+None for a missing child, and every algorithm reads rows; bits and step
+are derived from row once, on the base class.  Every finite presentation
+(full, explicit, block-periodic and Silver trees, and the products and
+subtrees built from them) compiles to a TableNavigator, one row per
+integer state, numbered breadth-first from 0 with every state reachable.
+A product of two tables is built from their rows in one breadth-first
+pass, and so is a subtree: its stem's forced bits, then the base's rows
+reachable from the stem's end.  Only the staircase generates its levels on
+demand; products and subtrees over it, and a product whose table would
+pass _MAX_PRODUCT_STATES, wrap the navigators of their parts.  Apart from
+the staircase and explicit trees, and what is built on them, every
+navigator is a finite automaton, so membership, prunedness, perfection
+and all measure questions downstream have exact answers.  An explicit
+tree's table has no rows at its depth: that is its horizon, and queries
+past it fail loudly.
 """
 
 from __future__ import annotations
@@ -48,13 +52,17 @@ Row = Tuple[object, object]
 _MAX_PRODUCT_STATES = 200_000
 
 
+# the children of a row, by (child 0 present) + 2 * (child 1 present)
+_BITS = ((), (0,), (1,), (0, 1))
+
+
 class Navigator:
-    """Transition-structure view of a tree; states are hashable.  horizon
-    is the least depth at which bits raises HorizonExceeded (None: never);
-    known_perfect marks a tree pruned and perfect by construction.  rows is
-    the list of every state's row when the navigator is a table over the
-    states 0, 1, ..., n-1, and None for one that generates its states on
-    demand."""
+    """Transition-structure view of a tree; states are hashable.  A
+    navigator implements row alone.  horizon is the least depth at which
+    row raises HorizonExceeded (None: never); known_perfect marks a tree
+    pruned and perfect by construction.  rows is the list of every state's
+    row when the navigator is a table over the states 0, 1, ..., n-1, and
+    None for one that generates its states on demand."""
 
     finite = True
     horizon: Optional[int] = None
@@ -62,42 +70,47 @@ class Navigator:
     rows: Optional[List[Optional[Row]]] = None
     initial: object
 
-    def bits(self, state) -> Tuple[int, ...]:
+    def row(self, state) -> Row:
+        """The state's row: (next on 0, next on 1), None for a missing
+        child; raises HorizonExceeded at the horizon, and NotANode for a
+        state that is not a node."""
         raise NotImplementedError
+
+    def bits(self, state) -> Tuple[int, ...]:
+        """The bits of the state's children; raises as row does."""
+        zero, one = self.row(state)
+        return _BITS[(zero is not None) + 2 * (one is not None)]
 
     def step(self, state, bit: int):
-        raise NotImplementedError
-
-    def row(self, state) -> Row:
-        """The state's row; raises HorizonExceeded at the horizon."""
-        bs = self.bits(state)
-        return tuple([self.step(state, b) if b in bs else None for b in (0, 1)])
+        """The state's child on bit; None where it has none, and where row
+        raises."""
+        try:
+            return self.row(state)[bit]
+        except (HorizonExceeded, NotANode):
+            return None
 
 
 def walk(nav: Navigator, bits: Sequence[int], state) -> Optional[Tuple[object, int]]:
-    """Walk bits down from state; returns (end state, branching points
-    passed), or None when the word leaves the tree."""
+    """Walk bits down from state, one row read per bit; returns (end
+    state, branching points passed), or None when the word leaves the
+    tree."""
     splits = 0
     for b in bits:
-        bs = nav.bits(state)
-        if b not in bs:
+        row = nav.row(state)
+        state = row[b]
+        if state is None:
             return None
-        if len(bs) == 2:
-            splits += 1
-        state = nav.step(state, b)
+        splits += None not in row
     return state, splits
-
-
-# the children of a row, by (child 0 present) + 2 * (child 1 present)
-_BITS = ((), (0,), (1,), (0, 1))
 
 
 class TableNavigator(Navigator):
     """A transition table over the states 0, 1, ..., n-1, from state 0:
-    rows[s] is the row of state s, and bits and step are read off it.  With
-    a horizon the rows stop there: a state at the horizon has the row None,
-    so bits and row raise HorizonExceeded and step leads nowhere.
-    trie_depth is the depth of the explicit tree whose horizon that is."""
+    rows[s] is the row of state s.  The states are numbered breadth-first
+    from 0 and all are reachable (_numbered), which validate relies on.
+    With a horizon the rows stop there: a state at the horizon has the row
+    None, so row raises HorizonExceeded.  trie_depth is the depth of the
+    explicit tree whose horizon that is."""
 
     initial = 0
 
@@ -133,25 +146,20 @@ class TableNavigator(Navigator):
             )
         return row
 
-    def bits(self, state) -> Tuple[int, ...]:
-        zero, one = self.row(state)
-        return _BITS[(zero is not None) + 2 * (one is not None)]
-
-    def step(self, state, bit: int):
-        row = self.rows[state]
-        return None if row is None else row[bit]
-
 
 def _numbered(initial, row_of, cap: Optional[int] = None) -> Optional[List[Optional[Row]]]:
     """The rows of the states reachable from initial, renumbered 0, 1, 2,
     ... breadth-first: row_of(state) is the state's row over the old states,
-    or None where it has none, and is called once per state.  None past cap
-    states."""
+    or None where it has none (where it raises HorizonExceeded too), and is
+    called once per state.  None past cap states."""
     states = [initial]
     index = {initial: 0}
     rows: List[Optional[Row]] = []
     for s in states:  # the list grows while it is read
-        row = row_of(s)
+        try:
+            row = row_of(s)
+        except HorizonExceeded:
+            row = None
         if row is not None:
             ids = []
             for t in row:
@@ -212,15 +220,18 @@ def _product_table(left: TableNavigator, right: TableNavigator) -> Optional[Tabl
 
 def _stem_table(stem: Tuple[int, ...], base: TableNavigator, base_state: int) -> TableNavigator:
     """A stem over a table: one state per forced bit, then the base's
-    table shifted past them."""
-    m = len(stem)
-    rows: List[Optional[Row]] = []
-    for i, b in enumerate(stem):
-        nxt = i + 1 if i + 1 < m else base_state + m
-        rows.append((nxt, None) if b == 0 else (None, nxt))
-    for row in base.rows:
-        rows.append(None if row is None else tuple([None if t is None else t + m for t in row]))
-    return TableNavigator(rows, base.horizon, base.trie_depth)
+    states reachable from base_state, by one breadth-first pass over the
+    keys 0..m-1 for the stem's m bits and m + s for the base's state s."""
+    m, rows = len(stem), base.rows
+
+    def row_of(key):
+        if key < m:
+            nxt = key + 1 if key + 1 < m else base_state + m
+            return (nxt, None) if stem[key] == 0 else (None, nxt)
+        row = rows[key - m]
+        return None if row is None else tuple([None if t is None else t + m for t in row])
+
+    return TableNavigator(_numbered(0 if m else base_state, row_of), base.horizon, base.trie_depth)
 
 
 class ProductNavigator(Navigator):
@@ -234,17 +245,11 @@ class ProductNavigator(Navigator):
         self.horizon = _product_horizon(left, right)[0]
         self.initial = (left.initial, right.initial, 0)
 
-    def bits(self, state) -> Tuple[int, ...]:
+    def row(self, state) -> Row:
         ls, rs, parity = state
-        return self.left.bits(ls) if parity == 0 else self.right.bits(rs)
-
-    def step(self, state, bit: int):
-        ls, rs, parity = state
-        if parity == 0:
-            nl = self.left.step(ls, bit)
-            return None if nl is None else (nl, rs, 1)
-        nr = self.right.step(rs, bit)
-        return None if nr is None else (ls, nr, 0)
+        if parity:
+            return tuple([None if t is None else (ls, t, 0) for t in self.right.row(rs)])
+        return tuple([None if t is None else (t, rs, 1) for t in self.left.row(ls)])
 
 
 class StemNavigator(Navigator):
@@ -260,22 +265,12 @@ class StemNavigator(Navigator):
         self.known_perfect = base.known_perfect
         self.initial = ("stem", 0) if stem else ("base", base_state)
 
-    def bits(self, state) -> Tuple[int, ...]:
+    def row(self, state) -> Row:
         kind, val = state
         if kind == "stem":
-            return (self.stem[val],)
-        return self.base.bits(val)
-
-    def step(self, state, bit: int):
-        kind, val = state
-        if kind == "stem":
-            if bit != self.stem[val]:
-                return None
-            if val + 1 == len(self.stem):
-                return ("base", self._base_state)
-            return ("stem", val + 1)
-        t = self.base.step(val, bit)
-        return None if t is None else ("base", t)
+            nxt = ("stem", val + 1) if val + 1 < len(self.stem) else ("base", self._base_state)
+            return (nxt, None) if self.stem[val] == 0 else (None, nxt)
+        return tuple([None if t is None else ("base", t) for t in self.base.row(val)])
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +453,12 @@ class StaircaseNavigator(Navigator):
             self._extend()
         return self._levels[d]
 
-    def bits(self, state) -> Tuple[int, ...]:
+    def row(self, state) -> Row:
         info = self._level(len(state)).get(state)
         if info is None:
             raise NotANode(f"{BinWord(state)} is not a staircase node")
-        return (0, 1) if info[1] else (0,)
-
-    def step(self, state, bit: int):
-        t = state + (bit,)
-        return t if t in self._level(len(t)) else None
+        # every node extends by 0; the chosen one also by 1
+        return (state + (0,), state + (1,) if info[1] else None)
 
 
 @dataclass(frozen=True)
@@ -564,8 +556,9 @@ def node_words(P: TreePresentation, depth: int) -> Iterator[BinWord]:
     for _ in range(depth):
         nxt: List[Tuple[BinWord, object]] = []
         for w, s in level:
-            for b in nav.bits(s):
-                nxt.append((w.append(b), nav.step(s, b)))
+            for b, t in enumerate(nav.row(s)):
+                if t is not None:
+                    nxt.append((w.append(b), t))
         for w, _ in nxt:
             yield w
         level = nxt
@@ -593,56 +586,54 @@ class ValidationReport:
 
 
 def validate(P: TreePresentation) -> ValidationReport:
-    """Prunedness and perfection by one breadth-first search over the
-    navigator's states, numbered 0, 1, 2, ... as they are found; witnesses
-    are the shortest words of the failing states, in lexicographic order,
-    rebuilt from the search's back-pointers.  Exact for finite-state
-    presentations; one with a horizon is checked up to it, which is
-    exact_to: states there are recorded but neither expanded nor checked (a
-    horizon comes from a trie, each of whose states is one node, so a state
-    fixes its depth)."""
+    """Prunedness and perfection, read off the navigator's rows by id: a
+    table's states are numbered breadth-first from 0, so each state's first
+    parent in id order lies on its least shortest word, and the witnesses,
+    the shortest words of the failing states in lexicographic order, are
+    rebuilt from these back-pointers.  A navigator that is not a table is
+    numbered first (_numbered).  Exact for finite-state presentations; one
+    with a horizon is checked up to it, which is exact_to: states there
+    have the row None and are not checked (a horizon comes from a trie,
+    each of whose states is one node, so a state fixes its depth).  A table
+    numbered otherwise raises PresentationError."""
     nav = P.navigator()
     if nav.known_perfect:
         return ValidationReport(pruned=True, perfect=True)
     horizon = nav.horizon
     if not nav.finite and horizon is None:
         raise UnsupportedPresentation(f"no exact validation for {P}")
-    # by id: each state, the (parent id, bit) it was first reached by, its
-    # depth and its parents; inner holds the ids short of the horizon,
-    # breadth-first, and grows while read; rows holds their bits, read once
-    states = [nav.initial]
-    index = {nav.initial: 0}
+    rows = nav.rows if nav.rows is not None else _numbered(nav.initial, nav.row)
+    # by id: the (parent id, bit) each state is first reached by, met in id
+    # order since the table is breadth-first from 0, and its parents; inner
+    # holds the ids short of the horizon
     back: List[Tuple[int, int]] = [(0, 0)]
-    depth = [0]
-    parents: List[List[int]] = [[]]
-    inner = [0] if horizon != 0 else []
-    rows: Dict[int, Tuple[int, ...]] = {}
-    for i in inner:
-        s = states[i]
-        rows[i] = nav.bits(s)
-        for b in rows[i]:
-            t = nav.step(s, b)
-            j = index.setdefault(t, len(states))
-            if j == len(states):
-                states.append(t)
-                back.append((i, b))
-                depth.append(depth[i] + 1)
-                parents.append([])
-                if depth[j] != horizon:
-                    inner.append(j)
-            parents[j].append(i)
+    parents: List[List[int]] = [[] for _ in rows]
+    inner = []
+    for i, row in enumerate(rows):
+        if i >= len(back):
+            raise PresentationError("table not numbered breadth-first from 0")
+        if row is None:
+            continue
+        inner.append(i)
+        for b, t in enumerate(row):
+            if t is not None:
+                parents[t].append(i)
+                if t >= len(back):
+                    if t > len(back):
+                        raise PresentationError("table not numbered breadth-first from 0")
+                    back.append((i, b))
     # the failing states: the dead ends, or else those that reach no split
-    bad = [i for i in inner if not rows[i]]
+    bad = [i for i in inner if rows[i] == (None, None)]
     pruned = not bad
     if pruned:
-        reach = ancestors((i for i in inner if len(rows[i]) == 2), parents)
+        reach = ancestors((i for i in inner if None not in rows[i]), parents)
         bad = [i for i in inner if i not in reach]
     if not bad:
         return ValidationReport(True, True, exact_to=horizon)
 
     def shortest(i: int) -> Tuple[int, ...]:
         word = []
-        for _ in range(depth[i]):
+        while i:
             i, b = back[i]
             word.append(b)
         return tuple(reversed(word))

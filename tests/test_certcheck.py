@@ -176,23 +176,24 @@ def test_replay_agrees_with_per_prefix_reference():
     assert rejected > 100
 
 
-def test_replay_takes_two_steps_per_distinct_prefix(monkeypatch):
+def test_replay_reads_one_row_per_distinct_prefix(monkeypatch):
     cert = lemma1_refine(FullTree(), U, 2, 7)
     assert len(cert.cover) == 2187
     text = cert.serialize()
-    steps = 0
-    step = TableNavigator.step
+    reads = 0
+    row = TableNavigator.row
 
-    def counting_step(self, state, bit):
-        nonlocal steps
-        steps += 1
-        return step(self, state, bit)
+    def counting_row(self, state):
+        nonlocal reads
+        reads += 1
+        return row(self, state)
 
-    monkeypatch.setattr(TableNavigator, "step", counting_step)
+    monkeypatch.setattr(TableNavigator, "row", counting_row)
     result = check_certificate(text)
     assert result.ok, result.messages
-    prefixes = {w.bits[:n] for w, _ in cert.cover for n in range(len(w) + 1)}
-    assert steps <= 2 * len(prefixes)
+    # the rows of the nodes the cover words pass through, each read once
+    prefixes = {w.bits[:n] for w, _ in cert.cover for n in range(len(w))}
+    assert reads == len(prefixes)
     # the cover lines in any other order give the same answer
     lines = text.splitlines()
     body = [ln for ln in lines if ln.startswith("cover ")]
@@ -235,7 +236,13 @@ LEVELS = VALID.replace("mode nodes\ncover 00:2\ncover 10:2\ncover 11:2", "mode l
                  "malformed certificate: line 3: unexpected header 'certificate lemma1 v0'",
                  id="bad-header-after-blanks"),
     pytest.param(VALID.replace("p full", "p words{00 11}").replace("cover 11:2", "cover 110:2"),
-                 "cover node 110 is not a node of the tree", id="past-horizon"),
+                 "cover node 110 lies past the horizon: "
+                 "explicit tree of depth 2 queried past its horizon", id="past-horizon"),
+    pytest.param(VALID.replace("p full", "p words{00 01 10 11}").replace("cover 10:2", "cover 000:3"),
+                 "cover node 000 lies past the horizon: "
+                 "explicit tree of depth 2 queried past its horizon", id="node-past-horizon"),
+    pytest.param(VALID.replace("p full", "p words{00 11}").replace("cover 10:2", "cover 100:3"),
+                 "cover node 100 is not a node of the tree", id="not-a-node-short-of-horizon"),
     pytest.param(VALID.replace("p full", "p subtree(words{00 11},000)"),
                  "cannot replay levels: explicit tree of depth 2 queried past its horizon",
                  id="tree-past-horizon"),

@@ -212,6 +212,21 @@ def test_a_product_past_the_table_cap_stays_lazy(monkeypatch):
     ]
 
 
+def test_lemma1_on_a_lazy_product_stops_at_the_pair_cap(monkeypatch):
+    # B stays lazy past the table cap, and lemma1 searches its windowless
+    # pairs until it holds the cap's number of them
+    monkeypatch.setattr(trees, "_MAX_PRODUCT_STATES", 1000)
+    monkeypatch.setattr(measure, "_MAX_PRODUCT_STATES", 1000)
+    script = parse(
+        "tree A = product(PJ,PJ)\n"
+        "tree B = product(A,A)\n"
+        "query lemma1 FULL in B k 1 rounds 1\n"
+    )
+    assert script.declarations[1][1].navigator().rows is None
+    report = run(script)
+    assert report.text.splitlines()[-1] == "! error(cap): lemma1: product states > 1000"
+
+
 def test_caps_are_reported_and_the_script_goes_on(monkeypatch):
     monkeypatch.setattr(measure, "_MAX_PRODUCT_STATES", 7000)
     report = run(parse(

@@ -377,19 +377,15 @@ def test_trace_exact_steps_each_product_state_once(monkeypatch):
 
 class _CountingNavigator(Navigator):
     """Another navigator's transitions, counting every read of a state's
-    bits and of each of its steps."""
+    row."""
 
     def __init__(self, nav):
         self.nav, self.reads = nav, Counter()
         self.initial, self.finite, self.horizon = nav.initial, nav.finite, nav.horizon
 
-    def bits(self, state):
-        self.reads[("bits", state)] += 1
-        return self.nav.bits(state)
-
-    def step(self, state, bit):
-        self.reads[("step", state, bit)] += 1
-        return self.nav.step(state, bit)
+    def row(self, state):
+        self.reads[state] += 1
+        return self.nav.row(state)
 
 
 class _Counted(TreePresentation):
@@ -402,22 +398,20 @@ def test_trace_exact_reads_each_navigator_row_once(monkeypatch):
     pairs = [(Q, E), (Q, PJ), (product(Q, Q), product(PJ, PJ)), (E, Subtree(E, BinWord((0,))))]
     pairs += [(P, X) for P, X, _, _ in _random_pairs()][:20]
     # a side that is not a table is tabulated first: one read of each
-    # state's bits, and one step for each of its children
+    # reachable state's row
     for P, X in pairs:
         cp, cx = _Counted(P), _Counted(X)
         assert trace_exact(cp, cx) == trace_exact(P, X)
         for tree, nav in ((P, cp._nav), (X, cx._nav)):
             assert max(nav.reads.values()) == 1, (P, X)
-            read = {key[1] for key in nav.reads if key[0] == "bits"}
-            assert read == set(_reachable(tree.navigator())), (P, X)
-            assert {key[1] for key in nav.reads} == read, (P, X)
-    # two tables are read through their rows alone
+            assert set(nav.reads) == set(_reachable(tree.navigator())), (P, X)
+    # two tables are read through their rows alone, never bits or step
 
     def unread(self, *args):
-        raise AssertionError("a table's bits or step was called")
+        raise AssertionError("a navigator's bits or step was called")
 
-    monkeypatch.setattr(TableNavigator, "bits", unread)
-    monkeypatch.setattr(TableNavigator, "step", unread)
+    monkeypatch.setattr(Navigator, "bits", unread)
+    monkeypatch.setattr(Navigator, "step", unread)
     for P, X in pairs:
         assert P.navigator().rows is not None and X.navigator().rows is not None
         trace_exact(P, X)
@@ -443,6 +437,20 @@ def test_trace_exact_state_cap(monkeypatch):
         trace_exact(P, X)
     # a table of 571 states stays under the cap
     assert trace_exact(product(Q, Q), product(PJ, PJ)).exact == trace_exact(Q, PJ).exact ** 2
+
+
+def test_lemma1_pair_cap(monkeypatch):
+    # FULL leaves no window to escape through, so every pair below the root
+    # is windowless: the 2063-state PJ x PJ is searched in full, then fails
+    PJ = make_named("PJ").presentation
+    P = product(PJ, PJ)
+    with pytest.raises(WitnessNotFound):
+        lemma1_refine(P, FULL, 1, 1)
+    monkeypatch.setattr(measure, "_MAX_PRODUCT_STATES", 1000)
+    with pytest.raises(CapExceeded, match=r"lemma1: product states > 1000"):
+        lemma1_refine(P, FULL, 1, 1)
+    # a refinement under the cap is unchanged
+    assert lemma1_refine(FULL, U, 2, 6).bound == Fraction(729, 4096)
 
 
 @settings(max_examples=60, deadline=None)

@@ -203,18 +203,18 @@ def test_classify_depth_qualified_for_explicit():
 
 def test_classify_staircase(monkeypatch):
     reads = 0
-    bits = StaircaseNavigator.bits
+    row = StaircaseNavigator.row
 
-    def counting_bits(self, state):
+    def counting_row(self, state):
         nonlocal reads
         reads += 1
-        return bits(self, state)
+        return row(self, state)
 
-    monkeypatch.setattr(StaircaseNavigator, "bits", counting_bits)
+    monkeypatch.setattr(StaircaseNavigator, "row", counting_row)
     c = classify(StaircaseTree(), depth=24)
     assert c.balanced and not c.uniform and not c.silver
     assert c.exact_to == 24
-    # one read per node above depth 24: the staircase has d + 1 nodes at depth d
+    # one row read per node above depth 24: the staircase has d + 1 nodes at depth d
     assert reads == sum(d + 1 for d in range(24))
 
 

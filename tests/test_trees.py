@@ -4,6 +4,8 @@ Each presentation kind gets an independent definition-level membership
 predicate; automata must agree with it on every word up to a test depth.
 """
 
+import importlib
+import pkgutil
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cantormeasure
 from cantormeasure.errors import (
     HorizonExceeded,
     NotANode,
@@ -24,9 +27,11 @@ from cantormeasure.trees import (
     BlockTree,
     ExplicitTree,
     FullTree,
+    Navigator,
     ProductNavigator,
     ProductTree,
     SilverTree,
+    StaircaseNavigator,
     StaircaseTree,
     StemNavigator,
     Subtree,
@@ -41,6 +46,7 @@ from cantormeasure.trees import (
     parse_tree_expr,
     product,
     silver_split,
+    tabulate,
     to_dsl,
     validate,
     walk,
@@ -408,28 +414,273 @@ def _assert_same_bits(nav, ref, depth):
         level = nxt
 
 
+class _RefNavigator:
+    """Reference: the base class's row as it was derived from bits and
+    step, while each navigator class implemented those two."""
+
+    def row(self, state):
+        bs = self.bits(state)
+        return tuple([self.step(state, b) if b in bs else None for b in (0, 1)])
+
+
+class _RefTable(_RefNavigator):
+    """TableNavigator's own bits and step as written, over a table's rows."""
+
+    def __init__(self, nav):
+        self.rows, self.trie_depth, self.initial = nav.rows, nav.trie_depth, 0
+
+    def row(self, state):
+        row = self.rows[state]
+        if row is None:
+            raise HorizonExceeded(
+                f"explicit tree of depth {self.trie_depth} queried past its horizon"
+            )
+        return row
+
+    def bits(self, state):
+        zero, one = self.row(state)
+        return ((), (0,), (1,), (0, 1))[(zero is not None) + 2 * (one is not None)]
+
+    def step(self, state, bit):
+        row = self.rows[state]
+        return None if row is None else row[bit]
+
+
+class _RefProduct(_RefNavigator):
+    """ProductNavigator's own bits and step as written."""
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+        self.initial = (left.initial, right.initial, 0)
+
+    def bits(self, state):
+        ls, rs, parity = state
+        return self.left.bits(ls) if parity == 0 else self.right.bits(rs)
+
+    def step(self, state, bit):
+        ls, rs, parity = state
+        if parity == 0:
+            nl = self.left.step(ls, bit)
+            return None if nl is None else (nl, rs, 1)
+        nr = self.right.step(rs, bit)
+        return None if nr is None else (ls, nr, 0)
+
+
+class _RefStem(_RefNavigator):
+    """StemNavigator's own bits and step as written."""
+
+    def __init__(self, stem, base, base_state):
+        self.stem, self.base, self._base_state = stem, base, base_state
+        self.initial = ("stem", 0) if stem else ("base", base_state)
+
+    def bits(self, state):
+        kind, val = state
+        if kind == "stem":
+            return (self.stem[val],)
+        return self.base.bits(val)
+
+    def step(self, state, bit):
+        kind, val = state
+        if kind == "stem":
+            if bit != self.stem[val]:
+                return None
+            if val + 1 == len(self.stem):
+                return ("base", self._base_state)
+            return ("stem", val + 1)
+        t = self.base.step(val, bit)
+        return None if t is None else ("base", t)
+
+
+class _RefStaircase(_RefNavigator):
+    """StaircaseNavigator's own bits and step as written, with its levels."""
+
+    def __init__(self):
+        self.initial = ()
+        self._levels = [{(): (-1, True)}]
+
+    def _extend(self):
+        d = len(self._levels) - 1
+        nxt = {}
+        for node, (last, chosen) in self._levels[-1].items():
+            if chosen:
+                nxt[node + (0,)] = d
+                nxt[node + (1,)] = d
+            else:
+                nxt[node + (0,)] = last
+        pick = min(nxt, key=lambda n: (nxt[n], n))
+        self._levels.append({n: (ls, n == pick) for n, ls in nxt.items()})
+
+    def _level(self, d):
+        while len(self._levels) <= d:
+            self._extend()
+        return self._levels[d]
+
+    def bits(self, state):
+        info = self._level(len(state)).get(state)
+        if info is None:
+            raise NotANode(f"{BinWord(state)} is not a staircase node")
+        return (0, 1) if info[1] else (0,)
+
+    def step(self, state, bit):
+        t = state + (bit,)
+        return t if t in self._level(len(t)) else None
+
+
+def _reference_navigator(P):
+    """P's navigator built from the reference copies, over the same states
+    as _lazy_navigator(P)."""
+    if isinstance(P, ProductTree):
+        return _RefProduct(_reference_navigator(P.left), _reference_navigator(P.right))
+    if isinstance(P, Subtree):
+        base = _reference_navigator(P.base)
+        state = base.initial
+        for b in P.root.bits:
+            state = base.step(state, b)
+        return _RefStem(P.root.bits, base, state)
+    if isinstance(P, StaircaseTree):
+        return _RefStaircase()
+    return _RefTable(P.navigator())
+
+
+def _outcome(method, *args):
+    try:
+        return method(*args)
+    except (HorizonExceeded, NotANode) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_methods(nav, ref, depth):
+    """nav and ref, over the same states, give the same row, bits and step,
+    or raise the same error, at every state along every word up to depth."""
+    level = [ref.initial]
+    assert nav.initial == ref.initial
+    for _ in range(depth + 1):
+        nxt = []
+        for s in level:
+            for name, args in (("row", (s,)), ("bits", (s,)), ("step", (s, 0)), ("step", (s, 1))):
+                assert _outcome(getattr(nav, name), *args) == _outcome(getattr(ref, name), *args)
+            row = _outcome(ref.row, s)
+            if row[0] is not HorizonExceeded:
+                nxt.extend(t for t in row if t is not None)
+        level = nxt
+
+
+def _random_row_tree(rng):
+    """Products and stems, nested, over full, block, Silver, explicit and
+    staircase trees."""
+    roll = rng.random()
+    if roll < 0.3:
+        tree = _random_horizoned_tree(rng, 1)
+        return product(StaircaseTree(), tree) if roll < 0.15 else product(tree, StaircaseTree())
+    if roll < 0.4:
+        base = _random_row_tree(rng)
+        h = base.navigator().horizon
+        return Subtree(base, rng.choice(list(node_words(base, 2 if h is None else min(2, h)))))
+    return _random_horizoned_tree(rng)
+
+
 def test_tables_match_lazy_navigators():
-    # products and stems, nested, over full, block, Silver and explicit
-    # trees compile to tables; over the staircase they stay lazy
+    # products and stems, nested, over full, block, Silver, explicit and
+    # staircase trees compile to tables, lazy over the staircase; their
+    # rows, and the derived bits and step, match the per-class copies
     rng = random.Random(1517)
     E = BlockTree(3, frozenset(parse_words(["000", "001", "011", "111"])))
     words = ExplicitTree(3, frozenset(parse_words(["010", "011", "110"])))
     trees = [
+        StaircaseTree(),
         product(Subtree(product(E, words), BinWord((0, 0, 1))), Subtree(SilverTree((1,), (-1, 0)), BinWord((1, 1)))),
         Subtree(product(product(words, FullTree()), E), BinWord((0, 1, 1))),
         product(Subtree(StaircaseTree(), BinWord((1,))), product(E, words)),
         Subtree(product(E, StaircaseTree()), BinWord((0, 1))),
     ]
     trees += [_random_horizoned_tree(rng) for _ in range(60)]
+    trees += [_random_row_tree(rng) for _ in range(30)]
     kinds = set()
     for P in trees:
-        nav, ref = P.navigator(), _lazy_navigator(P)
+        nav, lazy = P.navigator(), _lazy_navigator(P)
         over_staircase = "staircase" in str(P)
         assert (nav.rows is None) == over_staircase, P
-        assert (nav.horizon, nav.finite) == (ref.horizon, ref.finite), P
-        _assert_same_bits(nav, ref, 10)
+        assert (nav.horizon, nav.finite) == (lazy.horizon, lazy.finite), P
+        _assert_same_bits(nav, lazy, 10)
+        _assert_same_methods(lazy, _reference_navigator(P), 10)
         kinds.add((over_staircase, nav.horizon is None))
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+    # off the staircase row and bits raise NotANode and step leads nowhere,
+    # on the staircase and inside a product
+    nav, ref = StaircaseTree().navigator(), _RefStaircase()
+    # the staircase has 7 nodes at depth 6, one of them splitting
+    level6 = [w.bits for w in frontier_words(StaircaseTree(), 6)]
+    off = [w + (1,) for w in level6 if ref.step(w, 1) is None]
+    assert len(off) == 6
+    pnav = product(StaircaseTree(), E).navigator()
+    pref = _RefProduct(_RefStaircase(), _RefTable(E.navigator()))
+    for s in off:
+        with pytest.raises(NotANode):
+            nav.row(s)
+        for name, args in (("row", ()), ("bits", ()), ("step", (0,)), ("step", (1,))):
+            assert _outcome(getattr(nav, name), s, *args) == _outcome(getattr(ref, name), s, *args)
+            ps = (s, 0, 0)
+            assert _outcome(getattr(pnav, name), ps, *args) == _outcome(getattr(pref, name), ps, *args)
+
+
+def test_navigator_classes_implement_row_alone():
+    for info in pkgutil.iter_modules(cantormeasure.__path__):
+        importlib.import_module(f"cantormeasure.{info.name}")
+    found, todo = [], [Navigator]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls is not Navigator and cls.__module__.startswith("cantormeasure."):
+            found.append(cls)
+    assert set(found) == {TableNavigator, ProductNavigator, StemNavigator, StaircaseNavigator}
+    for cls in found:
+        assert "row" in vars(cls) and not {"bits", "step"} & set(vars(cls)), cls
+    assert {"row", "bits", "step"} <= set(vars(Navigator))
+
+
+def _numbered_breadth_first(rows):
+    """Whether a breadth-first search from 0 over rows, children in bit
+    order, finds the states in the order 0, 1, ..., n-1, and all of them."""
+    order, seen = [0], {0}
+    for s in order:
+        for t in rows[s] or ():
+            if t is not None and t not in seen:
+                seen.add(t)
+                order.append(t)
+    return order == list(range(len(rows)))
+
+
+def test_every_table_is_breadth_first_from_0_and_reachable():
+    rng = random.Random(1909)
+    trees = [
+        Subtree(ExplicitTree(2, frozenset(parse_words(["00", "11"]))), BinWord((0,))),
+        Subtree(product(U, ExplicitTree(2, frozenset(parse_words(["00", "11"])))), BinWord((1, 1))),
+        Subtree(SilverTree((1, 0), (-1, 0)), BinWord((1, 0, 1))),
+        product(E, U),
+        FullTree(),
+        E,
+    ]
+    trees += [_random_horizoned_tree(rng) for _ in range(150)]
+    trees += [_random_validation_tree(rng) for _ in range(150)]
+    for P in trees:
+        nav = P.navigator()
+        assert nav.rows is not None and _numbered_breadth_first(nav.rows), P
+    # a lazy navigator numbered by tabulate too
+    lazy = _lazy_navigator(product(Subtree(E, BinWord((1,))), Subtree(U, BinWord((0, 0)))))
+    assert lazy.rows is None and _numbered_breadth_first(tabulate(lazy, 1000).rows)
+    # validate relies on it, and refuses a table built by hand otherwise:
+    # unreachable states (here a cycle of two) or ids out of search order
+    for rows in ([(0, 0), (2, None), (1, None)], [(2, 1), (2, None), (None, None)], [(0, 0), (1, 1)]):
+        assert not _numbered_breadth_first(rows)
+        with pytest.raises(PresentationError, match="not numbered breadth-first"):
+            validate(_RawTable(rows))
+
+
+class _RawTable(TreePresentation):
+    """A tree whose navigator is the given rows, as they are."""
+
+    def __init__(self, rows):
+        self._nav = TableNavigator(rows)
 
 
 def _node_scan_validate(P, h):
