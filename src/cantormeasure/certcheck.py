@@ -8,9 +8,9 @@ longest common prefix with the previous one.  At every node on the way it
 reads the node's row, its children on 0 and on 1, and counts a branching
 point when both are in the tree.  For a sorted cover, as lemma1_refine
 emits it, that is at most one row read per distinct prefix of the cover
-words; lines in any other order give the same answer with more reads.  A
-cover word that runs past the horizon of an explicit tree is reported as
-such: the tree says nothing there.
+words; lines in any other order give the same answer with more reads.
+Both trees, p and x, are parsed in every mode; only p is compiled, for the
+replay.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import CantorMeasureError, HorizonExceeded, ParseError
+from .errors import CantorMeasureError, ParseError
 from .trees import Navigator, parse_tree_expr
 from .words import BinWord, parse_bits
 
-_FIELDS = ("p", "x", "k", "rounds", "mode", "bound")
+_FIELDS = ("k", "rounds", "mode", "bound")
 # Levels, k and k * rounds are exponents of 2 in the sums below.  Above
 # this one a power of 2 takes long to build and its fractions are too long
 # to print (Python prints integers of at most 4,300 digits; 2**14_000 has
@@ -56,9 +56,9 @@ def _exponent(text: str) -> int:
 
 
 def _replay(nav: Navigator, cover: Sequence[Tuple[Tuple[int, ...], int]]) -> List[str]:
-    """A message for every cover word that is not a node of the tree, runs
-    past its horizon, or whose stated level differs from the branching
-    points strictly below it."""
+    """A message for every cover word that is not a node of the tree, or
+    whose stated level differs from the branching points strictly below
+    it."""
     messages: List[str] = []
     prev: Tuple[int, ...] = ()
     # along the last word, as far as it stayed in the tree: the state and
@@ -73,19 +73,15 @@ def _replay(nav: Navigator, cover: Sequence[Tuple[Tuple[int, ...], int]]) -> Lis
             n += 1
         del states[n + 1:], splits[n + 1:], kids[n + 1:]
         prev = bits
-        try:
-            for i in range(n, len(bits)):
-                if i == len(kids):
-                    kids.append(nav.row(states[i]))
-                zero, one = kids[i]
-                child = one if bits[i] else zero
-                if child is None:
-                    break
-                states.append(child)
-                splits.append(splits[i] + (zero is not None and one is not None))
-        except HorizonExceeded as exc:
-            messages.append(f"cover node {BinWord(bits)} lies past the horizon: {exc}")
-            continue
+        for i in range(n, len(bits)):
+            if i == len(kids):
+                kids.append(nav.row(states[i]))
+            zero, one = kids[i]
+            child = one if bits[i] else zero
+            if child is None:
+                break
+            states.append(child)
+            splits.append(splits[i] + (zero is not None and one is not None))
         if len(states) <= len(bits):
             messages.append(f"cover node {BinWord(bits)} is not a node of the tree")
         elif splits[len(bits)] != lvl:
@@ -99,13 +95,15 @@ def check_certificate(text: str) -> CheckResult:
     """Replay a serialized lemma1 certificate.
 
     Verifies that the bound equals the cover sum, that it respects the
-    ((2^k-1)/2^k)^rounds ceiling, and (explicit covers only) that every
-    cover node lies in the tree with the stated level.  Never raises: a
-    malformed certificate gives ok=False and says why.
+    ((2^k-1)/2^k)^rounds ceiling, that p and x parse as tree expressions,
+    and (explicit covers only) that every cover node lies in the tree p with
+    the stated level.  Never raises: a malformed certificate gives ok=False
+    and says why.
     """
     # blank lines are skipped, but count toward the line numbers
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     messages: List[str] = []
+    tree_of = {}
     try:
         first, header = lines[0]
         if header != "certificate lemma1 v1":
@@ -128,6 +126,8 @@ def check_certificate(text: str) -> CheckResult:
                 if count > 2**level:
                     raise ValueError(f"count {count} exceeds 2^{level}")
                 agg.append((level, count))
+            elif key in ("p", "x"):
+                tree_of[key] = parse_tree_expr(rest, line=i)
             elif key in _FIELDS:
                 fields[key] = rest
             else:
@@ -140,10 +140,11 @@ def check_certificate(text: str) -> CheckResult:
         if not _RATIONAL.fullmatch(fields["bound"]):
             raise ValueError(f"bound is not n or n/d with d > 0: {fields['bound']!r}")
         bound = Fraction(fields["bound"])
-        mode, p = fields["mode"], fields["p"]
+        # a certificate names both trees
+        mode, p, _ = fields["mode"], tree_of["p"], tree_of["x"]
         if mode not in ("nodes", "levels"):
             raise ValueError(f"unknown mode {mode!r}")
-    except (KeyError, ValueError, IndexError, ParseError) as exc:
+    except (KeyError, ValueError, IndexError, CantorMeasureError) as exc:
         return CheckResult(False, None, None, (f"malformed certificate: {exc}",))
 
     if mode == "nodes":
@@ -164,12 +165,9 @@ def check_certificate(text: str) -> CheckResult:
 
     if mode == "nodes":
         try:
-            nav = parse_tree_expr(p).navigator()
+            replayed = _replay(p.navigator(), cover)
         except CantorMeasureError as exc:
-            ok = False
-            messages.append(f"cannot replay levels: {exc}")
-        else:
-            replayed = _replay(nav, cover)
-            ok = ok and not replayed
-            messages.extend(replayed)
+            replayed = [f"cannot replay levels: {exc}"]
+        ok = ok and not replayed
+        messages.extend(replayed)
     return CheckResult(ok, bound, recomputed, tuple(messages))

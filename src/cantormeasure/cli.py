@@ -3,7 +3,8 @@
 Grammar (one statement per line, `#` starts a comment):
 
     tree NAME = full | staircase | words{w ...} | blocks(k){w ...}
-                | silver[a ...]repeat[a ...] | product(A,B) | subtree(A,w)
+                | silver[a ...]repeat[a ...] | table[z o, ...]
+                | product(A,B) | subtree(A,w)
     query classify NAME depth D
     query measure NAME cylinder W
     query trace X in P [depth D]
@@ -15,8 +16,11 @@ Grammar (one statement per line, `#` starts a comment):
     query lusin stages N
     query product-check A B depth D
 
-K is at least 1; D, M and N are at least 0.  Built-in names: FULL, E,
-Q, PJ, U, BST.  Reports are byte-deterministic for a given script.
+K is at least 1; D, M and N are at least 0.  words{w ...} is the clopen
+set of the cones of its words, which all have one length.  table[z o, ...]
+lists the rows of states 0, 1, ...: the next state on 0 and on 1, - for a
+missing child.  Built-in names: FULL, E, Q, PJ, U, BST.  Reports are
+byte-deterministic for a given script.
 """
 
 from __future__ import annotations

@@ -21,12 +21,6 @@ class NotANode(CantorMeasureError):
     kind = "not-a-node"
 
 
-class HorizonExceeded(CantorMeasureError):
-    """A query needs information past the horizon of a finite presentation."""
-
-    kind = "horizon"
-
-
 class UnsupportedPresentation(CantorMeasureError):
     """The operation needs a finite-state presentation and got something else."""
 

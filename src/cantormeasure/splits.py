@@ -46,10 +46,7 @@ def split_profile(P: TreePresentation, levels: int) -> SplitProfile:
     """Exact Split_i, s_i, S_i for i < levels: Split_i is the image of the
     length-i words under canon_embed, in lexicographic order since the
     embedding preserves it.  The horizon is S_{levels-1}, the depth the
-    profile looks down to.
-
-    Explicit presentations too shallow to exhibit the levels raise
-    HorizonExceeded; a tree without enough branching points raises
+    profile looks down to.  A tree without enough branching points raises
     PresentationError.
     """
     points = tuple(tuple(canon_embed(P, w) for w in all_words(i)) for i in range(levels))
@@ -138,8 +135,6 @@ def _classify_finite(nav: Navigator, budget: int) -> Classification:
 
 
 def _classify_enumerated(nav: Navigator, depth: int) -> Classification:
-    if nav.horizon is not None:
-        depth = min(depth, nav.horizon)
     level_nodes: List[List[Tuple[object, int]]] = [[(nav.initial, 0)]]
     uniform = True
     silver = True

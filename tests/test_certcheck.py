@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cantormeasure import trees
 from cantormeasure.certcheck import CheckResult, check_certificate
 from cantormeasure.constructions import make_named
 from cantormeasure.errors import CantorMeasureError, ParseError
@@ -235,20 +236,36 @@ LEVELS = VALID.replace("mode nodes\ncover 00:2\ncover 10:2\ncover 11:2", "mode l
     pytest.param("\n\n" + VALID.replace("lemma1 v1", "lemma1 v0"),
                  "malformed certificate: line 3: unexpected header 'certificate lemma1 v0'",
                  id="bad-header-after-blanks"),
-    pytest.param(VALID.replace("p full", "p words{00 11}").replace("cover 11:2", "cover 110:2"),
-                 "cover node 110 lies past the horizon: "
-                 "explicit tree of depth 2 queried past its horizon", id="past-horizon"),
-    pytest.param(VALID.replace("p full", "p words{00 01 10 11}").replace("cover 10:2", "cover 000:3"),
-                 "cover node 000 lies past the horizon: "
-                 "explicit tree of depth 2 queried past its horizon", id="node-past-horizon"),
+    # words{W} is the union of the cones [w]: below 11 the tree splits
+    pytest.param(VALID.replace("p full", "p words{00 01 10 11}").replace("cover 11:2", "cover 110:2"),
+                 "node 110: stated level 2, recomputed 3", id="node-inside-a-cone"),
     pytest.param(VALID.replace("p full", "p words{00 11}").replace("cover 10:2", "cover 100:3"),
                  "cover node 100 is not a node of the tree", id="not-a-node-short-of-horizon"),
-    pytest.param(VALID.replace("p full", "p subtree(words{00 11},000)"),
-                 "cannot replay levels: explicit tree of depth 2 queried past its horizon",
-                 id="tree-past-horizon"),
+    # both trees are parsed in either mode, and both are required
+    pytest.param(VALID.replace("x blocks(2){00 11}", "x )))garbage"),
+                 "malformed certificate: line 3: unknown tree expression or name ')'", id="garbage-x"),
+    pytest.param(LEVELS.replace("x blocks(2){00 11}", "x )))garbage"),
+                 "malformed certificate: line 3: unknown tree expression or name ')'",
+                 id="garbage-x-levels"),
+    pytest.param(LEVELS.replace("p full", "p )))garbage"),
+                 "malformed certificate: line 2: unknown tree expression or name ')'",
+                 id="garbage-p-levels"),
+    pytest.param(LEVELS.replace("p full", "p silver[]repeat[0]"),
+                 "malformed certificate: silver period must contain a -1 entry",
+                 id="invalid-p-levels"),
+    pytest.param(LEVELS.replace("x blocks(2){00 11}\n", ""), "malformed certificate: 'x'",
+                 id="no-traced-tree"),
 ])
 def test_malformed_certificates_are_rejected_not_raised(text, message):
     assert check_certificate(VALID).ok and check_certificate(LEVELS).ok
     result = check_certificate(text)
     assert not result.ok
     assert message in result.messages
+
+
+def test_replay_past_the_staircase_cap_is_rejected_not_raised(monkeypatch):
+    monkeypatch.setattr(trees, "_MAX_STAIRCASE_DEPTH", 8)
+    text = VALID.replace("p full", "p staircase").replace("cover 00:2", "cover 0000000000:2")
+    result = check_certificate(text)
+    assert not result.ok
+    assert result.messages == ("cannot replay levels: staircase: depth 9 > 8",)

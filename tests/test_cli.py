@@ -118,14 +118,14 @@ def test_run_contains_errors_per_query():
         parse(
             """
             tree W = words{00 11}
+            query trace-exact BST in W
             query measure W cylinder 000
-            query measure Q cylinder 0111
             """
         )
     )
     assert report.exit_code == 3
-    assert "error(horizon)" in report.text
-    assert "= 1/4" in report.text  # the later query still ran
+    assert "error(unsupported)" in report.text
+    assert report.text.endswith("= 1/4\n")  # the later query still ran
 
 
 def test_run_witness_not_found_is_reported():
@@ -151,33 +151,49 @@ def test_max_depth_caps_queries():
     assert "at depth 6" in report.text
 
 
-def test_classify_stops_at_the_horizon_below_a_stem():
+def test_explicit_trees_are_clopen_sets_with_exact_answers():
+    # words{W} is the union of the cones [w], w in W: a finite automaton, so
+    # classify, trace-exact and lemma1 answer exactly on it, on a stem over
+    # it and on a product with it, at any depth
     report = run(parse(
         "tree T = words{00 01 10 11}\n"
         "tree A = subtree(T,0)\n"
         "tree B = product(T,FULL)\n"
+        "tree W = words{00 11}\n"
+        "tree V = words{00}\n"
         "query classify T depth 5\n"
         "query classify A depth 5\n"
         "query classify B depth 5\n"
+        "query classify W depth 5\n"
+        "query measure W cylinder 00000\n"
+        "query trace-exact W in FULL\n"
+        "query trace-exact V in FULL\n"
+        "query lemma1 W in FULL k 2 rounds 1\n"
+        "query lemma1 W in FULL k 2 rounds 2\n"
     ))
-    assert "error" not in report.text
-    assert report.text.count("up-to-depth(2)") == 2
-    # in a product T feeds the even depths 0 and 2: the horizon is 4
-    assert report.text.splitlines()[-1] == "= balanced=yes uniform=yes silver=yes up-to-depth(4)"
+    assert [line for line in report.text.splitlines() if line.startswith(("!", "="))] == [
+        "= balanced=yes uniform=yes silver=yes exact",
+        "= balanced=yes uniform=yes silver=yes exact",
+        "= balanced=yes uniform=yes silver=yes exact",
+        "= balanced=yes uniform=yes silver=no exact",
+        "= 1/16",
+        "= 1/2",
+        "= 1/4",
+        "= bound 3/4 cover 3 rounds 1",
+        # the cone below 00 lies inside W: no window escapes it
+        "! error(witness-not-found): no escape window below 00",
+    ]
 
 
 def test_every_report_kind_is_printed():
     report = run(parse(
-        "tree W = words{00 11}\n"
         "tree N = blocks(2){00}\n"
-        "query measure W cylinder 000\n"
         "query lemma1 FULL in FULL k 2 rounds 1\n"
         "query trace-exact BST in E\n"
         "query lusin stages 9\n"
         "query classify N depth 8\n"
     ))
     assert [line for line in report.text.splitlines() if line.startswith("!")] == [
-        "! error(horizon): explicit tree of depth 2 queried past its horizon",
         "! error(witness-not-found): no escape window below ε",
         "! error(unsupported): trace_exact needs finite-state presentations on both sides",
         "! error(cap): stage 9 would have 574864 nodes (cap 100000)",
@@ -225,6 +241,25 @@ def test_lemma1_on_a_lazy_product_stops_at_the_pair_cap(monkeypatch):
     assert script.declarations[1][1].navigator().rows is None
     report = run(script)
     assert report.text.splitlines()[-1] == "! error(cap): lemma1: product states > 1000"
+
+
+def test_staircase_queries_stop_at_its_depth_cap(monkeypatch):
+    # the staircase generates its levels down to the cap, and a query that
+    # needs a deeper one fails with a typed error; the script goes on
+    monkeypatch.setattr(trees, "_MAX_STAIRCASE_DEPTH", 30)
+    report = run(parse(
+        "query trace U in BST depth 14000\n"
+        "query classify BST depth 100\n"
+        "query measure BST cylinder " + "0" * 40 + "\n"
+        "query classify BST depth 24\n"
+    ))
+    assert [line for line in report.text.splitlines() if line.startswith(("!", "="))] == [
+        "! error(cap): staircase: depth 31 > 30",
+        "! error(cap): staircase: depth 31 > 30",
+        "! error(cap): staircase: depth 31 > 30",
+        "= balanced=yes uniform=no silver=no up-to-depth(24)",
+    ]
+    assert report.exit_code == 3
 
 
 def test_caps_are_reported_and_the_script_goes_on(monkeypatch):
@@ -275,7 +310,7 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main([str(bad_tree)]) == 2
 
     failing = tmp_path / "failing.cms"
-    failing.write_text("tree W = words{00}\nquery measure W cylinder 000\n")
+    failing.write_text("query trace-exact BST in E\n")
     assert main([str(failing)]) == 3
 
     assert main([str(tmp_path / "missing.cms")]) == 1

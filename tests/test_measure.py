@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -43,14 +42,16 @@ from cantormeasure.trees import (
     SilverTree,
     StaircaseTree,
     Subtree,
-    TableNavigator,
+    TableTree,
     TreePresentation,
     children,
     frontier_words,
     node_words,
     parse_tree_expr,
     product,
+    silver_split,
     to_dsl,
+    validate,
     walk,
 )
 from cantormeasure.words import BinWord, NatWord, all_words, interleave, parse_words
@@ -285,14 +286,28 @@ def test_trace_exact_matches_dense_solve():
     assert kinds == {0, 1, "between"}
 
 
-@dataclass(frozen=True)
-class _TableTree(TreePresentation):
-    """A tree given by its transition table, from state "a"."""
-
-    table: tuple
-
-    def _compile(self):
-        return TableNavigator.from_mapping("a", dict(self.table))
+def test_trace_of_an_explicit_tree_is_its_clopen_measure():
+    # words{W} is the union of the cones [w], w in W, so its trace in P is
+    # the sum of P's cylinder measures of the words: the product solve and
+    # the cylinder law, two independent ways
+    rng = random.Random(2609)
+    kinds, checked = set(), 0
+    while checked < 200:
+        P = _random_tree(rng)
+        if not validate(P).perfect:
+            continue
+        d = rng.randint(0, 5)
+        W = rng.sample(list(all_words(d)), rng.randint(1, 2**d))
+        value = trace_exact(P, ExplicitTree(d, frozenset(W))).exact
+        assert value == mu_clopen(P, W), (P, W)
+        # one cone is the subtree of the full tree at its word
+        w = rng.choice(W)
+        cone = ExplicitTree(d, frozenset([w]))
+        assert trace_exact(P, cone).exact == trace_exact(P, Subtree(FULL, w)).exact, (P, w)
+        kinds.add(value if value in (0, 1) else "between")
+        checked += 1
+    assert kinds == {0, 1, "between"}
+    assert trace_exact(FULL, parse_tree_expr("words{00}")).exact == Fraction(1, 4)
 
 
 def test_solve_trace_cyclic_component(monkeypatch):
@@ -305,14 +320,14 @@ def test_solve_trace_cyclic_component(monkeypatch):
     assert _solve_trace(table) == [HALF, HALF, 1]
     assert rows == [1]  # only the cyclic component {a} goes to the dense solve
 
-    # the same X as a navigator, and a two-state cycle: b reads only 0
+    # the same X as a table, and a two-state cycle: b (id 3) reads only 0
     # back to a, so value(a) = (value(a)/2 + 1/2) / 2 = 1/3
-    x = {"a": {0: "a", 1: "c"}, "c": {1: "f"}, "f": {0: "f", 1: "f"}}
-    assert trace_exact(FULL, _TableTree(tuple(x.items()))).exact == HALF
-    x["a"] = {0: "b", 1: "c"}
-    x["b"] = {0: "a"}
+    x = [(0, 1), (None, 2), (2, 2)]
+    assert trace_exact(FULL, TableTree(x)).exact == HALF
+    x[0] = (3, 1)
+    x.append((0, None))
     rows.clear()
-    assert trace_exact(FULL, _TableTree(tuple(x.items()))).exact == Fraction(1, 3)
+    assert trace_exact(FULL, TableTree(x)).exact == Fraction(1, 3)
     assert rows == [2]
 
 
@@ -381,7 +396,7 @@ class _CountingNavigator(Navigator):
 
     def __init__(self, nav):
         self.nav, self.reads = nav, Counter()
-        self.initial, self.finite, self.horizon = nav.initial, nav.finite, nav.horizon
+        self.initial, self.finite = nav.initial, nav.finite
 
     def row(self, state):
         self.reads[state] += 1
@@ -786,8 +801,8 @@ def _outcome(refine, P, X, k, rounds, node_cap):
 
 
 def test_lemma1_matches_per_pattern_reference():
-    # on explicit trees the order of the walks decides whether a query
-    # fails past the horizon or without a witness, so both must occur
+    # explicit trees are clopen sets: both certificates and failures
+    # without a witness must occur
     rng = random.Random(1998)
     kinds = set()
     for _ in range(600):
@@ -797,8 +812,19 @@ def test_lemma1_matches_per_pattern_reference():
         k, rounds, cap = rng.randint(1, 3), rng.randint(0, 3), rng.choice((3, 20000))
         got = _outcome(lemma1_refine, P, X, k, rounds, cap)
         assert got == _outcome(_reference_lemma1, P, X, k, rounds, cap), (P, X, k, rounds, cap)
-        kinds.add(got[0] if got[0] in ("HorizonExceeded", "WitnessNotFound") else "certificate")
-    assert kinds == {"HorizonExceeded", "WitnessNotFound", "certificate"}
+        kinds.add(got[0] if got[0] == "WitnessNotFound" else "certificate")
+    assert kinds == {"WitnessNotFound", "certificate"}
+
+
+def test_lemma1_certificate_on_a_table_component_replays():
+    # a degenerate Silver component is a table with a DSL form, which the
+    # certificate carries and the checker parses back
+    even, odd = silver_split(SilverTree((-1, -1, -1), (-1, 0)))
+    assert even == TableTree(((1, 1), (2, 2), (2, None)))
+    for P, X in ((FULL, even), (product(even, odd), E)):
+        text = lemma1_refine(P, X, 2, 3).serialize()
+        assert str(even) in text and "mode nodes" in text
+        assert check_certificate(text).ok, text
 
 
 def test_lemma1_silver_tree_traced():

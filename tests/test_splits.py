@@ -8,7 +8,14 @@ import pytest
 from cantormeasure.constructions import make_named
 from cantormeasure.errors import NotANode, PresentationError
 from cantormeasure.measure import mu_cylinder
-from cantormeasure.splits import SplitProfile, canon_embed, classify, level, split_profile
+from cantormeasure.splits import (
+    Classification,
+    SplitProfile,
+    canon_embed,
+    classify,
+    level,
+    split_profile,
+)
 from cantormeasure.trees import (
     BlockTree,
     ExplicitTree,
@@ -194,11 +201,17 @@ def test_classify_silver_condition_is_extension_equality():
                     assert children(tree, w) == children(tree, v)
 
 
-def test_classify_depth_qualified_for_explicit():
+def test_classify_exact_for_explicit():
+    # words{W} is a clopen set, a finite automaton: classified exactly at
+    # any depth, the cones splitting at every depth below the words
     tree = ExplicitTree(2, frozenset(parse_words(["00", "01", "10", "11"])))
-    c = classify(tree, depth=2)
-    assert c.balanced and c.uniform and c.silver
-    assert c.exact_to == 2
+    assert classify(tree, depth=2) == Classification(True, True, True)
+    # 0 and 1 each extend one way only, and differently
+    tree = ExplicitTree(2, frozenset(parse_words(["00", "11"])))
+    assert classify(tree, depth=2) == classify(tree, depth=64) == Classification(True, True, False)
+    # 0 extends one way and 1 both: not uniform, and s_2 = 2 <= S_1 = 2
+    tree = ExplicitTree(2, frozenset(parse_words(["00", "10", "11"])))
+    assert classify(tree) == Classification(False, False, False)
 
 
 def test_classify_staircase(monkeypatch):

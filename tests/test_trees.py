@@ -7,22 +7,22 @@ predicate; automata must agree with it on every word up to a test depth.
 import importlib
 import pkgutil
 import random
+import time
 from collections import deque
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cantormeasure
+from cantormeasure import trees
 from cantormeasure.errors import (
-    HorizonExceeded,
+    CapExceeded,
     NotANode,
     ParseError,
     PresentationError,
     UnsupportedPresentation,
 )
-from cantormeasure.splits import classify
 from cantormeasure.trees import (
     BlockTree,
     ExplicitTree,
@@ -36,6 +36,7 @@ from cantormeasure.trees import (
     StemNavigator,
     Subtree,
     TableNavigator,
+    TableTree,
     TreePresentation,
     ValidationReport,
     _tokenize,
@@ -125,12 +126,20 @@ def test_subtree_rejects_non_node():
         Subtree(E, BinWord((1, 0)))
 
 
-def test_explicit_membership_and_horizon():
-    tree = ExplicitTree(3, frozenset(parse_words(["010", "011", "110"])))
+def test_explicit_membership_is_a_union_of_cones():
+    # words{W} is the union of the cones [w], w in W: its nodes are the
+    # words comparable with a frontier word, at every depth
+    frontier = parse_words(["010", "011", "110"])
+    tree = ExplicitTree(3, frozenset(frontier))
     assert contains(tree, BinWord((0, 1)))
     assert not contains(tree, BinWord((0, 0)))
-    with pytest.raises(HorizonExceeded):
-        contains(tree, BinWord((0, 1, 1, 0)))
+    assert contains(tree, BinWord((0, 1, 1, 0)))
+    for w in all_up_to(7):
+        expected = any(v.is_prefix_of(w) or w.is_prefix_of(v) for v in frontier)
+        assert contains(tree, w) == expected, w
+    # the cone of the empty word is the full tree
+    assert validate(ExplicitTree(0, frozenset([EMPTY]))) == ValidationReport(True, True)
+    assert frontier_words(parse_tree_expr("words{ε}"), 4) == frontier_words(FullTree(), 4)
 
 
 def test_explicit_invariants():
@@ -175,14 +184,12 @@ def test_node_and_frontier_words():
 def test_full_tree():
     full = FullTree()
     assert len(frontier_words(full, 5)) == 32
-    report = validate(full)
-    assert report.pruned and report.perfect and report.exact_to is None
+    assert validate(full) == ValidationReport(True, True)
 
 
 def test_validate_named_trees_exact():
     for tree in (E, U, product(E, U), Subtree(E, BinWord((1, 1, 1)))):
-        report = validate(tree)
-        assert report.pruned and report.perfect and report.exact_to is None
+        assert validate(tree) == ValidationReport(True, True)
 
 
 def test_validate_detects_imperfect_block_tree():
@@ -193,16 +200,21 @@ def test_validate_detects_imperfect_block_tree():
     assert report.witnesses
 
 
-def test_validate_explicit_depth_qualified():
-    tree = ExplicitTree(2, frozenset(parse_words(["00", "01", "10", "11"])))
-    report = validate(tree)
-    assert report.pruned and report.perfect and report.exact_to == 2
-    thin = ExplicitTree(2, frozenset(parse_words(["00"])))
-    report = validate(thin)
-    assert report.pruned and not report.perfect
-    # witnesses at two depths come in lexicographic order, not shortest first
-    tree = ExplicitTree(3, frozenset(parse_words(["000", "010", "011", "100"])))
-    assert validate(tree) == ValidationReport(True, False, parse_words(["00", "1", "10"]), 3)
+def test_validate_explicit_exact():
+    # a nonempty clopen set is perfect: below every node lies a frontier
+    # word, whose cone splits at every depth
+    for words in (["00", "01", "10", "11"], ["00"], ["000", "010", "011", "100"]):
+        tree = ExplicitTree(len(words[0]), frozenset(parse_words(words)))
+        assert validate(tree) == ValidationReport(True, True), tree
+    # so is a stem over one, and a product with one
+    words = ExplicitTree(2, frozenset(parse_words(["00", "11"])))
+    forced = BlockTree(2, frozenset(parse_words(["01"])))
+    for tree in (Subtree(words, BinWord((1, 1, 0))), product(forced, words)):
+        assert validate(tree) == ValidationReport(True, True), tree
+    # a table need not be: witnesses at two depths come in lexicographic
+    # order, not shortest first
+    tree = parse_tree_expr("table[1 2, 3 4, 5 -, 3 -, 4 4, 5 -]")
+    assert validate(tree) == ValidationReport(True, False, parse_words(["00", "1", "10"]))
 
 
 def test_staircase_one_split_per_depth():
@@ -217,26 +229,23 @@ def test_staircase_one_split_per_depth():
 def test_validate_subtree_of_staircase_and_unknown_navigators():
     report = validate(Subtree(StaircaseTree(), BinWord((0, 1))))
     assert report.pruned and report.perfect
-    # a stem above an explicit trie keeps the trie's nodes comparable with
-    # it, checked exactly up to the trie's depth
-    explicit = ExplicitTree(2, frozenset(parse_words(["00", "01", "10", "11"])))
-    assert validate(Subtree(explicit, BinWord((0,)))) == ValidationReport(True, True, exact_to=2)
-    assert validate(Subtree(Subtree(explicit, BinWord((0,))), BinWord((0, 1)))) == (
-        ValidationReport(True, False, parse_words(["", "0"]), exact_to=2)
+    # a stem keeps the nodes comparable with it: above an imperfect table
+    # the stem's own states are witnesses too, one word each
+    table = parse_tree_expr("table[1 2, 1 -, 2 2]")
+    assert validate(table) == ValidationReport(True, False, parse_words(["0"]))
+    assert validate(Subtree(table, BinWord((0, 0)))) == (
+        ValidationReport(True, False, parse_words(["", "0", "00"]))
     )
-    uneven = ExplicitTree(2, frozenset(parse_words(["00", "01", "10"])))
-    assert validate(Subtree(uneven, BinWord((1,)))) == (
-        ValidationReport(True, False, parse_words(["", "1"]), exact_to=2)
-    )
-    # a product with the staircase and no horizon has no exact check: a
-    # typed error, not an answer
+    assert validate(Subtree(table, BinWord((1,)))) == ValidationReport(True, True)
+    # a product with the staircase has no exact check: a typed error, not
+    # an answer
     with pytest.raises(UnsupportedPresentation):
         validate(product(StaircaseTree(), E))
-    # a product with an explicit tree is checked up to its horizon: the
-    # right side's depth 2 ends at product depth 2 * 2 + 1; below each
-    # witness E's forced bit at depth 4 leaves no split short of depth 5
-    witnesses = parse_words(["0010", "0011", "0110", "0111", "1010", "1011", "1110", "1111"])
-    assert validate(product(E, explicit)) == ValidationReport(True, False, witnesses, exact_to=5)
+    # a product with a side that forces 0 everywhere: below the table's 0
+    # both sides force their bits, one state at odd depths and one at even
+    zeros = BlockTree(1, frozenset(parse_words(["0"])))
+    witnesses = parse_words(["0", "00"])
+    assert validate(product(table, zeros)) == ValidationReport(True, False, witnesses)
 
 
 def _scan_validate(nav):
@@ -269,26 +278,16 @@ def _scan_validate(nav):
     return ValidationReport(True, True)
 
 
-@dataclass(frozen=True)
-class _TableTree(TreePresentation):
-    """A tree given by its transition table, from state 0; a state with an
-    empty row is a dead end."""
-
-    table: tuple
-
-    def _compile(self):
-        return TableNavigator.from_mapping(0, dict(self.table))
-
-
 def _random_validation_tree(rng, depth=0):
     roll = rng.random()
     if roll < 0.2:
         n = rng.randint(1, 5)
         rows = []
-        for s in range(n):
+        for _ in range(n):
             kept = [b for b in (0, 1) if rng.random() < 0.7]
-            rows.append((s, {b: rng.randrange(n) for b in kept}))
-        return _TableTree(tuple(rows))
+            ids = {b: rng.randrange(n) for b in kept}
+            rows.append((ids.get(0), ids.get(1)))
+        return TableTree(tuple(rows))
     if roll < 0.5 or depth == 2:
         k = rng.choice((1, 2, 3))
         blocks = rng.sample(list(all_words(k)), rng.randint(1, 2**k))
@@ -316,29 +315,32 @@ def test_validate_matches_fixpoint_scan():
 
 
 def _trie_validate(tree):
-    """Reference: the prefix scan that once checked explicit trees, over
-    the prefixes of the frontier words comparable with every stem above."""
+    """Reference: a prefix scan of the nodes down to one past the depth,
+    the prefixes of the frontier words' children comparable with every
+    stem above, where a node at that last depth lies in a cone and splits."""
     stems = []
     while isinstance(tree, Subtree):
         stems.append(tree.root.bits)
         tree = tree.base
     depth = tree.depth
-    prefixes = {w.bits[:n] for w in tree.frontier for n in range(depth + 1)}
+    below = {w.bits + (b,) for w in tree.frontier for b in (0, 1)}
+    prefixes = {w[:n] for w in below for n in range(depth + 2)}
     node_set = {t for t in prefixes if all(t[: len(s)] == s[: len(t)] for s in stems)}
     nodes = sorted(node_set, key=lambda t: (len(t), t))
-    dead = [t for t in nodes if len(t) < depth and not any(t + (b,) in node_set for b in (0, 1))]
+    inner = [t for t in nodes if len(t) <= depth]
+    dead = [t for t in inner if not any(t + (b,) in node_set for b in (0, 1))]
     if dead:
-        return ValidationReport(False, False, tuple(BinWord(t) for t in dead), exact_to=depth)
-    splits = {t for t in nodes if len(t) < depth and all(t + (b,) in node_set for b in (0, 1))}
-    bad = [t for t in nodes if len(t) < depth and not any(s[: len(t)] == t for s in splits)]
+        return ValidationReport(False, False, tuple(BinWord(t) for t in dead))
+    splits = {t for t in nodes if len(t) > depth or all(t + (b,) in node_set for b in (0, 1))}
+    bad = [t for t in inner if not any(s[: len(t)] == t for s in splits)]
     if bad:
-        return ValidationReport(True, False, tuple(BinWord(t) for t in bad), exact_to=depth)
-    return ValidationReport(True, True, exact_to=depth)
+        return ValidationReport(True, False, tuple(BinWord(t) for t in bad))
+    return ValidationReport(True, True)
 
 
 def test_validate_explicit_matches_prefix_scan():
+    # every nonempty clopen set is perfect, and so is every stem over one
     rng = random.Random(1971)
-    kinds = set()
     for _ in range(600):
         depth = rng.randint(0, 6)
         frontier = [tuple(rng.randint(0, 1) for _ in range(depth)) for _ in range(rng.randint(1, 12))]
@@ -348,15 +350,12 @@ def test_validate_explicit_matches_prefix_scan():
             w = rng.choice([w for w in frontier if w[: len(longest)] == longest])
             root = w[: rng.randint(0, depth)]
             tree, longest = Subtree(tree, BinWord(root)), max(root, longest, key=len)
-        report, expected = validate(tree), _trie_validate(tree)
-        assert report == ValidationReport(
-            expected.pruned, expected.perfect, tuple(sorted(expected.witnesses)), expected.exact_to
-        ), tree
-        kinds.add(report.perfect)
-    assert kinds == {False, True}
+        report = validate(tree)
+        assert report == _trie_validate(tree) == _scan_validate(tree.navigator()), tree
+        assert report == ValidationReport(True, True), tree
 
 
-def _random_horizoned_tree(rng, depth=0):
+def _random_finite_tree(rng, depth=0):
     """Products and stems over explicit, block, Silver and full trees."""
     roll = rng.random()
     if roll < 0.3 or depth == 2:
@@ -372,10 +371,9 @@ def _random_horizoned_tree(rng, depth=0):
             return SilverTree(tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 2))), period)
         return FullTree()
     if roll < 0.75:
-        return product(_random_horizoned_tree(rng, depth + 1), _random_horizoned_tree(rng, depth + 1))
-    base = _random_horizoned_tree(rng, depth + 1)
-    h = base.navigator().horizon
-    return Subtree(base, rng.choice(list(node_words(base, 3 if h is None else min(3, h)))))
+        return product(_random_finite_tree(rng, depth + 1), _random_finite_tree(rng, depth + 1))
+    base = _random_finite_tree(rng, depth + 1)
+    return Subtree(base, rng.choice(list(node_words(base, 3))))
 
 
 def _lazy_navigator(P):
@@ -390,21 +388,13 @@ def _lazy_navigator(P):
 
 
 def _assert_same_bits(nav, ref, depth):
-    """nav gives the bits ref gives along every word up to depth, steps
-    exactly where it has a child, and raises ref's HorizonExceeded at its
-    horizon."""
+    """nav gives the bits ref gives along every word up to depth, and
+    steps exactly where it has a child."""
     level = [(nav.initial, ref.initial)]
-    for d in range(depth + 1):
+    for _ in range(depth + 1):
         nxt = []
         for s, r in level:
-            try:
-                bits = nav.bits(s)
-            except HorizonExceeded as exc:
-                assert d == nav.horizon
-                with pytest.raises(HorizonExceeded) as ref_exc:
-                    ref.bits(r)
-                assert str(ref_exc.value) == str(exc)
-                continue
+            bits = nav.bits(s)
             assert bits == ref.bits(r)
             for b in (0, 1):
                 t = nav.step(s, b)
@@ -427,23 +417,17 @@ class _RefTable(_RefNavigator):
     """TableNavigator's own bits and step as written, over a table's rows."""
 
     def __init__(self, nav):
-        self.rows, self.trie_depth, self.initial = nav.rows, nav.trie_depth, 0
+        self.rows, self.initial = nav.rows, 0
 
     def row(self, state):
-        row = self.rows[state]
-        if row is None:
-            raise HorizonExceeded(
-                f"explicit tree of depth {self.trie_depth} queried past its horizon"
-            )
-        return row
+        return self.rows[state]
 
     def bits(self, state):
         zero, one = self.row(state)
         return ((), (0,), (1,), (0, 1))[(zero is not None) + 2 * (one is not None)]
 
     def step(self, state, bit):
-        row = self.rows[state]
-        return None if row is None else row[bit]
+        return self.rows[state][bit]
 
 
 class _RefProduct(_RefNavigator):
@@ -545,7 +529,7 @@ def _reference_navigator(P):
 def _outcome(method, *args):
     try:
         return method(*args)
-    except (HorizonExceeded, NotANode) as exc:
+    except NotANode as exc:
         return type(exc), str(exc)
 
 
@@ -559,9 +543,7 @@ def _assert_same_methods(nav, ref, depth):
         for s in level:
             for name, args in (("row", (s,)), ("bits", (s,)), ("step", (s, 0)), ("step", (s, 1))):
                 assert _outcome(getattr(nav, name), *args) == _outcome(getattr(ref, name), *args)
-            row = _outcome(ref.row, s)
-            if row[0] is not HorizonExceeded:
-                nxt.extend(t for t in row if t is not None)
+            nxt.extend(t for t in ref.row(s) if t is not None)
         level = nxt
 
 
@@ -570,13 +552,12 @@ def _random_row_tree(rng):
     staircase trees."""
     roll = rng.random()
     if roll < 0.3:
-        tree = _random_horizoned_tree(rng, 1)
+        tree = _random_finite_tree(rng, 1)
         return product(StaircaseTree(), tree) if roll < 0.15 else product(tree, StaircaseTree())
     if roll < 0.4:
         base = _random_row_tree(rng)
-        h = base.navigator().horizon
-        return Subtree(base, rng.choice(list(node_words(base, 2 if h is None else min(2, h)))))
-    return _random_horizoned_tree(rng)
+        return Subtree(base, rng.choice(list(node_words(base, 2))))
+    return _random_finite_tree(rng)
 
 
 def test_tables_match_lazy_navigators():
@@ -593,17 +574,17 @@ def test_tables_match_lazy_navigators():
         product(Subtree(StaircaseTree(), BinWord((1,))), product(E, words)),
         Subtree(product(E, StaircaseTree()), BinWord((0, 1))),
     ]
-    trees += [_random_horizoned_tree(rng) for _ in range(60)]
+    trees += [_random_finite_tree(rng) for _ in range(60)]
     trees += [_random_row_tree(rng) for _ in range(30)]
     kinds = set()
     for P in trees:
         nav, lazy = P.navigator(), _lazy_navigator(P)
         over_staircase = "staircase" in str(P)
-        assert (nav.rows is None) == over_staircase, P
-        assert (nav.horizon, nav.finite) == (lazy.horizon, lazy.finite), P
+        assert (nav.rows is None) == over_staircase == (not nav.finite), P
+        assert nav.finite == lazy.finite, P
         _assert_same_bits(nav, lazy, 10)
         _assert_same_methods(lazy, _reference_navigator(P), 10)
-        kinds.add((over_staircase, nav.horizon is None))
+        kinds.add((over_staircase, "words" in str(P)))
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
     # off the staircase row and bits raise NotANode and step leads nowhere,
     # on the staircase and inside a product
@@ -660,7 +641,7 @@ def test_every_table_is_breadth_first_from_0_and_reachable():
         FullTree(),
         E,
     ]
-    trees += [_random_horizoned_tree(rng) for _ in range(150)]
+    trees += [_random_finite_tree(rng) for _ in range(150)]
     trees += [_random_validation_tree(rng) for _ in range(150)]
     for P in trees:
         nav = P.navigator()
@@ -683,48 +664,20 @@ class _RawTable(TreePresentation):
         self._nav = TableNavigator(rows)
 
 
-def _node_scan_validate(P, h):
-    """Reference for a pruned tree: the node words short of the horizon h
-    with no split at or below them; one witness per navigator state, its
-    least word."""
-    nodes = set(node_words(P, h))
-    inner = [w for w in nodes if len(w) < h]
-    splits = [w for w in inner if w.append(0) in nodes and w.append(1) in nodes]
-    bad = [w for w in inner if not any(w.is_prefix_of(v) for v in splits)]
-    nav, least = P.navigator(), {}
-    for w in sorted(bad):
-        least.setdefault(walk(nav, w.bits, nav.initial)[0], w)
-    return ValidationReport(True, not bad, tuple(sorted(least.values())), exact_to=h)
-
-
-def test_horizoned_trees_match_node_scan_and_explicit_copy():
-    # a product or stem over an explicit tree is decided up to its horizon,
-    # and up to it classifies like the explicit tree of its frontier
-    rng = random.Random(1916)
-    checked, perfect = 0, set()
-    for _ in range(500):
-        P = _random_horizoned_tree(rng)
-        assert parse_tree_expr(str(P)) == P
-        h = P.navigator().horizon
-        if h is None or h > 9:  # nested products double it; node words grow as 2^h
-            continue
-        # every node of these presentations lies on a branch: all are pruned
-        report = validate(P)
-        assert report == _node_scan_validate(P, h), P
-        # bits answers short of the horizon (node_words above) and raises at
-        # it, where step leads nowhere
-        nav, frontier = P.navigator(), frontier_words(P, h)
-        for w in frontier:
-            end = walk(nav, w.bits, nav.initial)[0]
-            with pytest.raises(HorizonExceeded):
-                nav.bits(end)
-            assert nav.step(end, 0) is None and nav.step(end, 1) is None
-        copy = ExplicitTree(h, frozenset(frontier))
-        for d in (h, h + 3):
-            assert classify(P, d) == classify(copy, d), (P, d)
-        checked += 1
-        perfect.add(report.perfect)
-    assert checked >= 150 and perfect == {False, True}, checked
+def test_staircase_stops_at_its_depth_cap(monkeypatch):
+    # levels are generated down to the cap and no further: past it a row
+    # read fails with a typed error instead of growing memory as depth^3
+    monkeypatch.setattr(trees, "_MAX_STAIRCASE_DEPTH", 8)
+    tree = StaircaseTree()
+    assert len(frontier_words(tree, 9)) == 10  # reads the rows at depth 8
+    with pytest.raises(CapExceeded, match="staircase: depth 9 > 8"):
+        frontier_words(tree, 10)
+    nav = tree.navigator()
+    assert len(nav._levels) == 9
+    # step does not hide the cap as a missing child
+    end = walk(nav, (0,) * 9, nav.initial)[0]
+    with pytest.raises(CapExceeded):
+        nav.step(end, 0)
 
 
 def test_staircase_every_branch_splits_again():
@@ -747,15 +700,35 @@ def test_product_of_silver_components():
         assert set(node_words(S, d)) == set(node_words(prod, d))
 
 
-def test_silver_split_degenerate_component_is_explicit():
-    # odd entries are all forced: that component is not perfect
+def test_silver_split_degenerate_component_is_a_table():
+    # odd entries are all forced: that component is not perfect, and is the
+    # table of its entries, exact at every depth
     S = SilverTree((), (-1, 0))
     even, odd = silver_split(S)
     assert isinstance(even, SilverTree)
-    assert isinstance(odd, ExplicitTree)
+    assert odd == TableTree(((0, None),))
+    assert parse_tree_expr(str(odd)) == odd
+    assert validate(odd) == ValidationReport(True, False, (EMPTY,))
     prod = product(even, odd)
     for w in all_up_to(8):
         assert contains(prod, w) == contains(S, w), w
+
+
+def test_silver_split_of_many_prefix_splits_is_fast_and_exact():
+    # 36 prefix splits: listing their combinations took seconds, a table
+    # of the component's entries takes microseconds
+    S = SilverTree((-1,) * 36, (0, -1))
+    started = time.perf_counter()
+    even, odd = silver_split(S)
+    assert time.perf_counter() - started < 0.05
+    assert even == TableTree(tuple((n + 1, n + 1) for n in range(18)) + ((18, None),))
+    assert odd == SilverTree((-1,) * 18, (-1,))
+    assert set(node_words(product(even, odd), 12)) == set(node_words(S, 12))
+    # a prefix with forced entries
+    S = SilverTree((1, -1, 0, -1), (-1, 0))
+    even, odd = silver_split(S)
+    assert (str(even), str(odd)) == ("silver[1 0]repeat[-1]", "table[1 1, 2 2, 2 -]")
+    assert set(node_words(product(even, odd), 12)) == set(node_words(S, 12))
 
 
 def test_dsl_round_trip():
@@ -765,11 +738,30 @@ def test_dsl_round_trip():
         E,
         SilverTree((1, 0), (-1, 0)),
         ExplicitTree(2, frozenset(parse_words(["00", "11"]))),
+        TableTree(((1, None), (None, 0))),
         product(E, U),
         Subtree(E, BinWord((1, 1, 1))),
     ]
     for tree in examples:
         assert parse_tree_expr(to_dsl(tree)) == tree
+    assert str(TableTree([[1, None], [None, 0]])) == "table[1 -, - 0]"
+
+
+def test_table_trees_round_trip_and_reject_bad_ids():
+    rng = random.Random(1844)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = tuple(tuple(rng.choice([None] + list(range(n))) for _ in (0, 1)) for _ in range(n))
+        tree = TableTree(rows)
+        assert parse_tree_expr(str(tree)) == tree, tree
+        # it compiles to its rows, renumbered breadth-first from 0
+        assert _scan_validate(tree.navigator()) == _scan_validate(_RawTable(rows).navigator())
+    for text in ("table[1 -]", "table[0 0, 2 0]", "table[-1 0]"):
+        with pytest.raises(PresentationError, match="table ids must lie in"):
+            parse_tree_expr(text)
+    for rows in ((), ((0,),)):
+        with pytest.raises(PresentationError):
+            TableTree(rows)
 
 
 def test_parse_errors():
@@ -783,6 +775,9 @@ def test_parse_errors():
         parse_tree_expr("words{}")
     with pytest.raises(PresentationError):
         parse_tree_expr("silver[]repeat[0]")
+    for text in ("table[]", "table[0]", "table[0 0 0]", "table[0 0,]", "table[0 x]", "table[0 0"):
+        with pytest.raises(ParseError):
+            parse_tree_expr(text)
 
 
 def _reference_tokenize(text):
